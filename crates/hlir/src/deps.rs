@@ -23,7 +23,7 @@
 
 use crate::extract::affine;
 use crate::kernel::{AffineIndex, LoopDim, OutputWrite};
-use crate::loops::{recognize, CanonLoop};
+use crate::loops::{contains_loop, recognize_header, LoopHeader};
 use roccc_cparse::ast::*;
 use roccc_cparse::span::Span;
 use std::collections::HashSet;
@@ -319,17 +319,17 @@ fn walk_stmt(
 ) -> Option<CarriedDep> {
     match &s.kind {
         StmtKind::For { body, .. } => {
-            if let Some(l) = recognize(s) {
+            if let Some(l) = recognize_header(s) {
                 enclosing.push(l.var.clone());
-                let inner = walk_block(&l.body, arrays, enclosing, factor, innermost_only);
+                let inner = walk_block(body, arrays, enclosing, factor, innermost_only);
                 enclosing.pop();
                 if let Some(v) = inner {
                     return Some(v);
                 }
-                if innermost_only && contains_loop(&l.body) {
+                if innermost_only && contains_loop(body) {
                     return None; // the strip-miner leaves this header alone
                 }
-                check_canon_loop(&l, arrays, enclosing, factor)
+                check_canon_loop(&l, body, arrays, enclosing, factor)
             } else {
                 walk_block(body, arrays, enclosing, factor, innermost_only)
             }
@@ -347,28 +347,15 @@ fn walk_stmt(
     }
 }
 
-fn contains_loop(b: &Block) -> bool {
-    b.stmts.iter().any(|s| match &s.kind {
-        StmtKind::For { .. } | StmtKind::While { .. } => true,
-        StmtKind::If {
-            then_blk, else_blk, ..
-        } => contains_loop(then_blk) || else_blk.as_ref().is_some_and(contains_loop),
-        StmtKind::Block(inner) => contains_loop(inner),
-        _ => false,
-    })
-}
-
 /// Induction variables of every nested canonical loop below `b`.
 fn nested_loop_vars(b: &Block, out: &mut Vec<String>) {
     for s in &b.stmts {
         match &s.kind {
             StmtKind::For { body, .. } => {
-                if let Some(l) = recognize(s) {
-                    out.push(l.var.clone());
-                    nested_loop_vars(&l.body, out);
-                } else {
-                    nested_loop_vars(body, out);
+                if let Some(l) = recognize_header(s) {
+                    out.push(l.var);
                 }
+                nested_loop_vars(body, out);
             }
             StmtKind::While { body, .. } => nested_loop_vars(body, out),
             StmtKind::If {
@@ -385,9 +372,11 @@ fn nested_loop_vars(b: &Block, out: &mut Vec<String>) {
     }
 }
 
-/// Checks the dependences carried by one canonical loop against `factor`.
+/// Checks the dependences carried by one canonical loop (header `l`,
+/// body `body`) against `factor`.
 fn check_canon_loop(
-    l: &CanonLoop,
+    l: &LoopHeader,
+    body: &Block,
     arrays: &HashSet<String>,
     enclosing: &[String],
     factor: u64,
@@ -403,14 +392,14 @@ fn check_canon_loop(
         trip,
     };
     let mut inner_vars = Vec::new();
-    nested_loop_vars(&l.body, &mut inner_vars);
+    nested_loop_vars(body, &mut inner_vars);
     let mut known: Vec<String> = enclosing.to_vec();
     known.push(l.var.clone());
     known.extend(inner_vars.iter().cloned());
 
     let mut accesses = Vec::new();
     let mut unknown: Option<(String, Span)> = None;
-    collect_block(&l.body, arrays, &known, &mut accesses, &mut unknown);
+    collect_block(body, arrays, &known, &mut accesses, &mut unknown);
     if let Some((array, span)) = unknown {
         // A parameter-array access we could not analyze: conservative.
         return Some(CarriedDep {

@@ -14,11 +14,14 @@
 //!   data-path, while the loop statement and the load/store code drive the
 //!   controller and smart-buffer generators.
 
-use crate::fold::{fold_expr, fold_program};
+use crate::fold::{fold_block_mut, fold_program_mut};
 use crate::inline::inline_program;
 use crate::kernel::*;
-use crate::loops::{recognize, CanonLoop};
-use crate::subst::{collect_var_reads, map_block_exprs, rename_vars_block};
+use crate::loops::{contains_loop, take_loop, CanonLoop};
+use crate::subst::{
+    collect_var_reads, for_each_block_expr, for_each_expr, for_each_stmt, map_block_exprs_mut,
+    map_expr_mut, rename_vars_block,
+};
 use roccc_cparse::ast::intrinsics;
 use roccc_cparse::ast::*;
 use roccc_cparse::error::{CError, CResult, Stage};
@@ -42,18 +45,23 @@ fn err(span: Span, msg: impl Into<String>) -> CError {
 /// analysis, or falls outside the supported shape (non-affine indices,
 /// array accesses in straight-line code, loops deeper than two, …).
 pub fn extract_kernel(program: &Program, func_name: &str) -> CResult<Kernel> {
-    let program = fold_program(&inline_program(program));
+    // The only copy of the program: inlining returns it, everything after
+    // rewrites or consumes it in place.
+    let mut program = inline_program(program);
+    fold_program_mut(&mut program);
     let sema = roccc_cparse::sema::check(&program)?;
-    let f = program
-        .function(func_name)
+    let pos = program
+        .items
+        .iter()
+        .position(|i| matches!(i, Item::Function(f) if f.name == func_name))
         .ok_or_else(|| err(Span::dummy(), format!("unknown function `{func_name}`")))?;
+    let Item::Function(mut f) = program.items.remove(pos) else {
+        unreachable!("`pos` indexes a function");
+    };
     // Transformations such as partial unrolling with a remainder wrap their
     // result in a bare block; splice those so the loop partition below sees
     // the loop (and reports accurate diagnostics for what surrounds it).
-    let f = &Function {
-        body: flatten_top_blocks(&f.body),
-        ..f.clone()
-    };
+    f.body.stmts = flatten_top_blocks(std::mem::take(&mut f.body.stmts));
     let info = &sema.functions[func_name];
 
     // Partition top-level statements: prologue / loop / epilogue.
@@ -64,7 +72,7 @@ pub fn extract_kernel(program: &Program, func_name: &str) -> CResult<Kernel> {
         .position(|s| matches!(s.kind, StmtKind::For { .. }));
 
     match loop_pos {
-        None => extract_straight_line(&program, f, info),
+        None => extract_straight_line(f),
         Some(pos) => extract_loop_kernel(&program, f, info, pos),
     }
 }
@@ -81,11 +89,7 @@ fn scalar_ty(info: &roccc_cparse::sema::FunctionInfo, name: &str) -> Option<IntT
 // Straight-line kernels (fully unrolled or naturally scalar).
 // ---------------------------------------------------------------------------
 
-fn extract_straight_line(
-    program: &Program,
-    f: &Function,
-    info: &roccc_cparse::sema::FunctionInfo,
-) -> CResult<Kernel> {
+fn extract_straight_line(f: Function) -> CResult<Kernel> {
     // No loops anywhere, no array parameters.
     if contains_loop(&f.body) {
         return Err(err(
@@ -124,7 +128,6 @@ fn extract_straight_line(
         ..f.clone()
     };
 
-    let _ = (program, info);
     Ok(Kernel {
         name: f.name.clone(),
         dims: vec![],
@@ -135,35 +138,21 @@ fn extract_straight_line(
         feedback: vec![],
         live_out: vec![],
         dp_func,
-        rewritten: f.clone(),
+        rewritten: f,
     })
 }
 
 /// Splices bare `{ … }` statements into their parent at the top level only
 /// (loop and branch bodies are left alone).
-fn flatten_top_blocks(b: &Block) -> Block {
-    let mut stmts = Vec::new();
-    for s in &b.stmts {
-        match &s.kind {
-            StmtKind::Block(inner) => stmts.extend(flatten_top_blocks(inner).stmts),
-            _ => stmts.push(s.clone()),
+fn flatten_top_blocks(stmts: Vec<Stmt>) -> Vec<Stmt> {
+    let mut out = Vec::with_capacity(stmts.len());
+    for s in stmts {
+        match s.kind {
+            StmtKind::Block(inner) => out.extend(flatten_top_blocks(inner.stmts)),
+            kind => out.push(Stmt { kind, span: s.span }),
         }
     }
-    Block {
-        stmts,
-        span: b.span,
-    }
-}
-
-fn contains_loop(b: &Block) -> bool {
-    b.stmts.iter().any(|s| match &s.kind {
-        StmtKind::For { .. } | StmtKind::While { .. } => true,
-        StmtKind::If {
-            then_blk, else_blk, ..
-        } => contains_loop(then_blk) || else_blk.as_ref().is_some_and(contains_loop),
-        StmtKind::Block(b) => contains_loop(b),
-        _ => false,
-    })
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -172,13 +161,15 @@ fn contains_loop(b: &Block) -> bool {
 
 fn extract_loop_kernel(
     program: &Program,
-    f: &Function,
+    mut f: Function,
     info: &roccc_cparse::sema::FunctionInfo,
     loop_pos: usize,
 ) -> CResult<Kernel> {
-    let prologue = &f.body.stmts[..loop_pos];
-    let loop_stmt = &f.body.stmts[loop_pos];
-    let epilogue = &f.body.stmts[loop_pos + 1..];
+    // Split the body: `f` keeps the prologue, the loop moves out.
+    let epilogue = f.body.stmts.split_off(loop_pos + 1);
+    let mut loop_stmt = f.body.stmts.pop().expect("`loop_pos` indexes the loop");
+    let loop_span = loop_stmt.span;
+    let prologue = &f.body.stmts;
 
     // -- prologue: declarations and constant initializations only ----------
     let mut pre_values: HashMap<String, i64> = HashMap::new();
@@ -217,16 +208,12 @@ fn extract_loop_kernel(
     }
 
     // -- loop nest ----------------------------------------------------------
-    let l1 = recognize(loop_stmt).ok_or_else(|| {
-        err(
-            loop_stmt.span,
-            "kernel loop is not in canonical counted form",
-        )
-    })?;
-    let (dims, body) = recognize_nest(&l1)?;
+    let l1 = take_loop(&mut loop_stmt)
+        .ok_or_else(|| err(loop_span, "kernel loop is not in canonical counted form"))?;
+    let (dims, body) = recognize_nest(l1)?;
     if contains_loop(&body) {
         return Err(err(
-            loop_stmt.span,
+            loop_span,
             "loop nests deeper than two are not supported; strip-mine or unroll first",
         ));
     }
@@ -284,15 +271,19 @@ fn extract_loop_kernel(
         compute: Vec::new(),
         error: None,
     };
-    for s in &body.stmts {
+    let body_span = body.span;
+    for s in body.stmts {
         rewriter.stmt(s);
     }
     if let Some(e) = rewriter.error {
         return Err(e);
     }
-    let compute = rewriter.compute;
+    let mut compute = Block {
+        stmts: rewriter.compute,
+        span: body_span,
+    };
     if std::env::var("ROCCC_DEBUG_EXTRACT").is_ok() {
-        for s in &compute {
+        for s in &compute.stmts {
             eprintln!("compute: {s:?}");
         }
     }
@@ -314,7 +305,7 @@ fn extract_loop_kernel(
     for o in &outputs {
         if windows.iter().any(|w| w.array == o.array) {
             return Err(err(
-                loop_stmt.span,
+                loop_span,
                 format!("array `{}` is both read and written in the loop", o.array),
             ));
         }
@@ -324,7 +315,7 @@ fn extract_loop_kernel(
         if let Some((i, j, dist)) = crate::deps::overlapping_writes(&o.writes, &dims) {
             let d: Vec<String> = dist.iter().map(|x| x.to_string()).collect();
             return Err(err(
-                loop_stmt.span,
+                loop_span,
                 format!(
                     "L012-overlapping-writes: output array `{}` writes `[{}]` and `[{}]` \
                      can touch the same element (iteration distance ({})); the parallel \
@@ -352,18 +343,21 @@ fn extract_loop_kernel(
     // A prologue scalar that the compute body both reads and writes is
     // loop-carried.
     let mut body_reads = Vec::new();
-    for s in &compute {
-        collect_stmt_reads_full(s, &mut body_reads);
-    }
+    for_each_block_expr(&compute, &mut |e| collect_var_reads(e, &mut body_reads));
+    // Compound assignment reads its target too.
+    for_each_stmt(&compute, &mut |s| {
+        if let StmtKind::Assign {
+            target: LValue::Var(n),
+            op: Some(_),
+            ..
+        } = &s.kind
+        {
+            body_reads.push(n.clone());
+        }
+    });
     let body_reads: HashSet<String> = body_reads.into_iter().collect();
     let mut body_writes = Vec::new();
-    crate::subst::collect_scalar_writes(
-        &Block {
-            stmts: compute.clone(),
-            span: body.span,
-        },
-        &mut body_writes,
-    );
+    crate::subst::collect_scalar_writes(&compute, &mut body_writes);
     let body_writes: HashSet<String> = body_writes.into_iter().collect();
 
     let mut feedback = Vec::new();
@@ -396,7 +390,7 @@ fn extract_loop_kernel(
 
     // -- epilogue: exports of feedback finals ---------------------------------
     let mut live_out = Vec::new();
-    for s in epilogue {
+    for s in &epilogue {
         match &s.kind {
             StmtKind::Assign {
                 target: LValue::Deref(out),
@@ -434,33 +428,32 @@ fn extract_loop_kernel(
     scalar_inputs.sort();
 
     // -- substitute propagated constants --------------------------------------
-    let compute: Vec<Stmt> = compute
-        .iter()
-        .map(|s| {
-            let mut s = s.clone();
-            for (name, v) in &const_prologue {
-                s = crate::subst::subst_var_stmt(&s, name, &Expr::int(*v, s.span));
-            }
-            crate::subst::map_stmt_exprs(&s, &mut |e| fold_expr(&e))
-        })
-        .collect();
+    if !const_prologue.is_empty() {
+        map_block_exprs_mut(&mut compute, &mut |e| {
+            map_expr_mut(e, &mut |x| {
+                if let ExprKind::Var(n) = &x.kind {
+                    if let Some(&v) = const_prologue.get(n) {
+                        x.kind = ExprKind::IntLit(v);
+                    }
+                }
+            })
+        });
+    }
+    fold_block_mut(&mut compute);
+
+    // -- build the rewritten function (Figure 3 (b)) ----------------------------
+    let rewritten = build_rewritten(&f, &windows, &outputs, &compute.stmts, epilogue, &dims);
 
     // -- build the data-path function (Figure 3 (c) / 4 (c)) -------------------
     let dp_func = build_dp_func(
-        f,
-        info,
+        &f,
         &windows,
         &outputs,
         &scalar_inputs,
         &feedback,
         &live_out,
-        &compute,
-    )?;
-
-    // -- build the rewritten function (Figure 3 (b)) ----------------------------
-    let rewritten = build_rewritten(
-        f, info, &windows, &outputs, &feedback, &compute, loop_pos, &dims,
-    )?;
+        compute,
+    );
 
     Ok(Kernel {
         name: f.name.clone(),
@@ -478,23 +471,22 @@ fn extract_loop_kernel(
 
 /// Recognizes a 1- or 2-deep nest rooted at `l1`, returning normalized
 /// dimensions (outermost first) and the innermost body.
-fn recognize_nest(l1: &CanonLoop) -> CResult<(Vec<LoopDim>, Block)> {
-    let dim1 = to_dim(l1)?;
+fn recognize_nest(mut l1: CanonLoop) -> CResult<(Vec<LoopDim>, Block)> {
+    let dim1 = to_dim(&l1)?;
     // A 2-deep nest is a body consisting solely of one canonical loop
     // (allowing leading declarations of the inner induction variable).
-    let inner_candidates: Vec<&Stmt> = l1
+    let mut inner_candidates = l1
         .body
         .stmts
         .iter()
-        .filter(|s| !matches!(s.kind, StmtKind::Decl { init: None, .. }))
-        .collect();
-    if inner_candidates.len() == 1 {
-        if let Some(l2) = recognize(inner_candidates[0]) {
-            let dim2 = to_dim(&l2)?;
-            return Ok((vec![dim1, dim2], l2.body));
+        .enumerate()
+        .filter(|(_, s)| !matches!(s.kind, StmtKind::Decl { init: None, .. }));
+    if let (Some((pos, _)), None) = (inner_candidates.next(), inner_candidates.next()) {
+        if let Some(l2) = take_loop(&mut l1.body.stmts[pos]) {
+            return Ok((vec![dim1, to_dim(&l2)?], l2.body));
         }
     }
-    Ok((vec![dim1], l1.body.clone()))
+    Ok((vec![dim1], l1.body))
 }
 
 fn to_dim(l: &CanonLoop) -> CResult<LoopDim> {
@@ -520,46 +512,41 @@ fn collect_array_reads(
     out: &mut BTreeMap<String, Vec<Vec<AffineIndex>>>,
 ) -> CResult<()> {
     let mut error = None;
-    // Reads occur in every expression position, so walk each top-level
-    // expression bottom-up with `map_expr` to reach nested `ArrayIndex`
-    // nodes.
-    let mut visit_top = |top: Expr| -> Expr {
-        let _ = crate::subst::map_expr(&top, &mut |e| {
-            if let ExprKind::ArrayIndex { name, indices } = &e.kind {
-                if arrays.contains_key(name) {
-                    match indices
-                        .iter()
-                        .map(|ix| affine(ix, loop_vars))
-                        .collect::<Option<Vec<_>>>()
-                    {
-                        Some(aff) => out.entry(name.clone()).or_default().push(aff),
-                        None => {
-                            if error.is_none() {
-                                error = Some(err(
-                                    e.span,
-                                    format!(
-                                        "non-affine index into `{name}`; ROCCC requires `i + c` form"
-                                    ),
-                                ));
-                            }
+    // Reads occur in every expression position, so visit every node of
+    // each top-level expression to reach nested `ArrayIndex` nodes.
+    let mut visit = |e: &Expr| {
+        if let ExprKind::ArrayIndex { name, indices } = &e.kind {
+            if arrays.contains_key(name) {
+                match indices
+                    .iter()
+                    .map(|ix| affine(ix, loop_vars))
+                    .collect::<Option<Vec<_>>>()
+                {
+                    Some(aff) => out.entry(name.clone()).or_default().push(aff),
+                    None => {
+                        if error.is_none() {
+                            error = Some(err(
+                                e.span,
+                                format!(
+                                    "non-affine index into `{name}`; ROCCC requires `i + c` form"
+                                ),
+                            ));
                         }
                     }
-                } else if !const_tables.contains(name) {
-                    // Local array or unknown: leave to the back end (LUT
-                    // for const tables) — locals are rejected here.
-                    if error.is_none() {
-                        error = Some(err(
-                            e.span,
-                            format!("array `{name}` is neither a parameter nor a const table"),
-                        ));
-                    }
+                }
+            } else if !const_tables.contains(name) {
+                // Local array or unknown: leave to the back end (LUT
+                // for const tables) — locals are rejected here.
+                if error.is_none() {
+                    error = Some(err(
+                        e.span,
+                        format!("array `{name}` is neither a parameter nor a const table"),
+                    ));
                 }
             }
-            e
-        });
-        top
+        }
     };
-    let _ = map_block_exprs(b, &mut visit_top);
+    for_each_block_expr(b, &mut |top| for_each_expr(top, &mut visit));
     // Remove entries that are exclusively writes: handled by the rewriter.
     match error {
         Some(e) => Err(e),
@@ -611,129 +598,107 @@ struct BodyRewriter<'a> {
 }
 
 impl<'a> BodyRewriter<'a> {
-    fn stmt(&mut self, s: &Stmt) {
-        match &s.kind {
+    fn stmt(&mut self, s: Stmt) {
+        let span = s.span;
+        let kind = match s.kind {
             StmtKind::Assign {
                 target: LValue::ArrayElem { name, indices },
                 op: None,
-                value,
-            } if self.array_params.contains_key(name) => {
+                mut value,
+            } if self.array_params.contains_key(&name) => {
                 // Array write: becomes `Tmp<k> = value`.
                 let aff = indices
                     .iter()
                     .map(|ix| affine(ix, self.loop_vars))
                     .collect::<Option<Vec<_>>>();
                 let Some(aff) = aff else {
-                    self.error.get_or_insert(err(
-                        s.span,
-                        format!("non-affine store index into `{name}`"),
-                    ));
+                    self.error
+                        .get_or_insert(err(span, format!("non-affine store index into `{name}`")));
                     return;
                 };
                 let scalar = format!("Tmp{}", self.tmp_counter);
                 self.tmp_counter += 1;
-                let (elem, _) = self.array_params[name];
-                let init = self.expr(value);
-                self.compute.push(Stmt {
-                    kind: StmtKind::Decl {
-                        name: scalar.clone(),
-                        ty: CType::Int(elem),
-                        init: Some(init),
-                    },
-                    span: s.span,
+                let (elem, _) = self.array_params[&name];
+                self.expr(&mut value);
+                self.outputs.entry(name).or_default().push(OutputWrite {
+                    scalar: scalar.clone(),
+                    index: aff,
                 });
-                self.outputs
-                    .entry(name.clone())
-                    .or_default()
-                    .push(OutputWrite { scalar, index: aff });
+                StmtKind::Decl {
+                    name: scalar,
+                    ty: CType::Int(elem),
+                    init: Some(value),
+                }
             }
-            StmtKind::Assign { target, op, value } => {
-                if let LValue::ArrayElem { name, .. } = target {
+            StmtKind::Assign {
+                target,
+                op,
+                mut value,
+            } => {
+                if let LValue::ArrayElem { name, .. } = &target {
                     if self.array_params.contains_key(name) {
                         self.error.get_or_insert(err(
-                            s.span,
+                            span,
                             "compound assignment to output arrays is not supported",
                         ));
                         return;
                     }
                 }
-                let value = self.expr(value);
-                self.compute.push(Stmt {
-                    kind: StmtKind::Assign {
-                        target: target.clone(),
-                        op: *op,
-                        value,
-                    },
-                    span: s.span,
-                });
+                self.expr(&mut value);
+                StmtKind::Assign { target, op, value }
             }
-            StmtKind::Decl { name, ty, init } => {
-                let init = init.as_ref().map(|e| self.expr(e));
-                self.compute.push(Stmt {
-                    kind: StmtKind::Decl {
-                        name: name.clone(),
-                        ty: ty.clone(),
-                        init,
-                    },
-                    span: s.span,
-                });
+            StmtKind::Decl { name, ty, mut init } => {
+                if let Some(e) = &mut init {
+                    self.expr(e);
+                }
+                StmtKind::Decl { name, ty, init }
             }
             StmtKind::If {
-                cond,
+                mut cond,
                 then_blk,
                 else_blk,
             } => {
                 // Array writes inside branches would need predicated stores;
                 // reject them, but allow scalar computation.
-                if block_writes_arrays(then_blk, self.array_params)
+                if block_writes_arrays(&then_blk, self.array_params)
                     || else_blk
                         .as_ref()
                         .is_some_and(|b| block_writes_arrays(b, self.array_params))
                 {
                     self.error.get_or_insert(err(
-                        s.span,
+                        span,
                         "array stores inside branches are not supported; compute into a scalar and store unconditionally",
                     ));
                     return;
                 }
-                let cond = self.expr(cond);
+                self.expr(&mut cond);
                 let then_blk = self.rewrite_block(then_blk);
-                let else_blk = else_blk.as_ref().map(|b| self.rewrite_block(b));
-                self.compute.push(Stmt {
-                    kind: StmtKind::If {
-                        cond,
-                        then_blk,
-                        else_blk,
-                    },
-                    span: s.span,
-                });
+                let else_blk = else_blk.map(|b| self.rewrite_block(b));
+                StmtKind::If {
+                    cond,
+                    then_blk,
+                    else_blk,
+                }
             }
-            StmtKind::Block(b) => {
-                let inner = self.rewrite_block(b);
-                self.compute.push(Stmt {
-                    kind: StmtKind::Block(inner),
-                    span: s.span,
-                });
-            }
-            StmtKind::Expr(e) => {
-                let e = self.expr(e);
-                self.compute.push(Stmt {
-                    kind: StmtKind::Expr(e),
-                    span: s.span,
-                });
+            StmtKind::Block(b) => StmtKind::Block(self.rewrite_block(b)),
+            StmtKind::Expr(mut e) => {
+                self.expr(&mut e);
+                StmtKind::Expr(e)
             }
             StmtKind::Return(_) | StmtKind::For { .. } | StmtKind::While { .. } => {
                 self.error.get_or_insert(err(
-                    s.span,
+                    span,
                     "unsupported statement inside the kernel loop body",
                 ));
+                return;
             }
-        }
+        };
+        self.compute.push(Stmt { kind, span });
     }
 
-    fn rewrite_block(&mut self, b: &Block) -> Block {
+    fn rewrite_block(&mut self, b: Block) -> Block {
         let saved = std::mem::take(&mut self.compute);
-        for s in &b.stmts {
+        for s in b.stmts {
             self.stmt(s);
         }
         let stmts = std::mem::replace(&mut self.compute, saved);
@@ -743,8 +708,9 @@ impl<'a> BodyRewriter<'a> {
         }
     }
 
-    fn expr(&mut self, e: &Expr) -> Expr {
-        crate::subst::map_expr(e, &mut |x| {
+    /// Replaces window reads in `e` with their scalars, in place.
+    fn expr(&self, e: &mut Expr) {
+        map_expr_mut(e, &mut |x| {
             if let ExprKind::ArrayIndex { name, indices } = &x.kind {
                 if self.array_params.contains_key(name) {
                     if let Some(aff) = indices
@@ -753,12 +719,11 @@ impl<'a> BodyRewriter<'a> {
                         .collect::<Option<Vec<_>>>()
                     {
                         if let Some(scalar) = self.read_rename.get(&(name.clone(), aff)) {
-                            return Expr::var(scalar.clone(), x.span);
+                            *x = Expr::var(scalar.clone(), x.span);
                         }
                     }
                 }
             }
-            x
         })
     }
 }
@@ -782,66 +747,16 @@ fn block_writes_arrays(b: &Block, arrays: &HashMap<String, (IntType, Vec<usize>)
     })
 }
 
-#[allow(clippy::collapsible_match)]
-fn collect_stmt_reads_full(s: &Stmt, out: &mut Vec<String>) {
-    match &s.kind {
-        StmtKind::Decl { init, .. } => {
-            if let Some(e) = init {
-                collect_var_reads(e, out);
-            }
-        }
-        StmtKind::Assign { target, op, value } => {
-            collect_var_reads(value, out);
-            // Compound assignment reads the target too.
-            if op.is_some() {
-                if let LValue::Var(n) = target {
-                    out.push(n.clone());
-                }
-            }
-            if let LValue::ArrayElem { indices, .. } = target {
-                for i in indices {
-                    collect_var_reads(i, out);
-                }
-            }
-        }
-        StmtKind::If {
-            cond,
-            then_blk,
-            else_blk,
-        } => {
-            collect_var_reads(cond, out);
-            for st in &then_blk.stmts {
-                collect_stmt_reads_full(st, out);
-            }
-            if let Some(e) = else_blk {
-                for st in &e.stmts {
-                    collect_stmt_reads_full(st, out);
-                }
-            }
-        }
-        StmtKind::Block(b) => {
-            for st in &b.stmts {
-                collect_stmt_reads_full(st, out);
-            }
-        }
-        StmtKind::Expr(e) => collect_var_reads(e, out),
-        StmtKind::Return(Some(e)) => collect_var_reads(e, out),
-        _ => {}
-    }
-}
-
 /// Builds the exported data-path function (Figure 3 (c) / 4 (c)).
-#[allow(clippy::too_many_arguments)]
 fn build_dp_func(
     f: &Function,
-    info: &roccc_cparse::sema::FunctionInfo,
     windows: &[WindowSpec],
     outputs: &[OutputSpec],
     scalar_inputs: &[(String, IntType)],
     feedback: &[FeedbackVar],
     live_out: &[String],
-    compute: &[Stmt],
-) -> CResult<Function> {
+    mut compute: Block,
+) -> Function {
     let sp = f.span;
     let mut params = Vec::new();
     for w in windows {
@@ -917,14 +832,8 @@ fn build_dp_func(
         .iter()
         .flat_map(|o| o.writes.iter().map(|w| w.scalar.clone()))
         .collect();
-    let compute_block = rename_vars_block(
-        &Block {
-            stmts: compute.to_vec(),
-            span: sp,
-        },
-        &fb_rename,
-    );
-    for s in compute_block.stmts {
+    rename_vars_block(&mut compute, &fb_rename);
+    for s in compute.stmts {
         match &s.kind {
             StmtKind::Decl {
                 name,
@@ -970,31 +879,27 @@ fn build_dp_func(
         });
     }
 
-    let _ = info;
-    Ok(Function {
+    Function {
         name: format!("{}_dp", f.name),
         ret: CType::Void,
         params,
         body: Block { stmts, span: sp },
         span: sp,
-    })
+    }
 }
 
 /// Builds the Figure 3 (b)-style function: same signature as the original,
-/// loop body = loads; compute; stores.
-#[allow(clippy::too_many_arguments)]
+/// loop body = loads; compute; stores. `f` holds the statements before the
+/// loop.
 fn build_rewritten(
     f: &Function,
-    info: &roccc_cparse::sema::FunctionInfo,
     windows: &[WindowSpec],
     outputs: &[OutputSpec],
-    feedback: &[FeedbackVar],
     compute: &[Stmt],
-    loop_pos: usize,
+    epilogue: Vec<Stmt>,
     dims: &[LoopDim],
-) -> CResult<Function> {
+) -> Function {
     let sp = f.span;
-    let _ = (info, feedback);
 
     let mut body_stmts: Vec<Stmt> = Vec::new();
     // Loads.
@@ -1062,7 +967,7 @@ fn build_rewritten(
     // Induction variables may have been declared in headers originally; add
     // declarations when the original function body declared them in the
     // prologue (they survive there), otherwise declare here.
-    let mut stmts: Vec<Stmt> = f.body.stmts[..loop_pos].to_vec();
+    let mut stmts: Vec<Stmt> = f.body.stmts.clone();
     let declared: HashSet<String> = {
         let mut names = Vec::new();
         for s in &stmts {
@@ -1085,15 +990,15 @@ fn build_rewritten(
         }
     }
     stmts.extend(nest.stmts);
-    stmts.extend(f.body.stmts[loop_pos + 1..].to_vec());
+    stmts.extend(epilogue);
 
-    Ok(Function {
+    Function {
         body: Block {
             stmts,
             span: f.body.span,
         },
         ..f.clone()
-    })
+    }
 }
 
 fn affine_to_expr(a: &AffineIndex, sp: Span) -> Expr {

@@ -5,34 +5,28 @@
 //! before unrolling and scalar replacement; the back end (`roccc-suifvm`)
 //! folds again at the IR level after other passes expose more constants.
 
-use crate::subst::{map_block_exprs, map_expr};
+use crate::subst::{map_block_exprs_mut, map_expr_mut};
 use roccc_cparse::ast::*;
 
-/// Folds constants in every function of the program.
-pub fn fold_program(p: &Program) -> Program {
-    Program {
-        items: p
-            .items
-            .iter()
-            .map(|item| match item {
-                Item::Function(f) => Item::Function(fold_function(f)),
-                g => g.clone(),
-            })
-            .collect(),
+/// Folds constants in every function of the program, in place.
+pub(crate) fn fold_program_mut(p: &mut Program) {
+    for item in &mut p.items {
+        if let Item::Function(f) = item {
+            fold_block_mut(&mut f.body);
+        }
     }
 }
 
-/// Folds constants in one function.
+/// Folds constants in a copy of one function.
 pub fn fold_function(f: &Function) -> Function {
-    Function {
-        body: fold_block(&f.body),
-        ..f.clone()
-    }
+    let mut f = f.clone();
+    fold_block_mut(&mut f.body);
+    f
 }
 
-/// Folds constants in a block.
-pub fn fold_block(b: &Block) -> Block {
-    map_block_exprs(b, &mut |e| fold_expr(&e))
+/// Folds constants in a block, in place.
+pub fn fold_block_mut(b: &mut Block) {
+    map_block_exprs_mut(b, &mut fold_expr_mut);
 }
 
 /// Folds an expression bottom-up: literal arithmetic is evaluated and
@@ -41,17 +35,27 @@ pub fn fold_block(b: &Block) -> Block {
 ///
 /// ```
 /// use roccc_cparse::{parser::parse, ast::StmtKind};
-/// use roccc_hlir::fold::fold_expr;
+/// use roccc_hlir::fold::fold_expr_mut;
 ///
 /// let prog = parse("int f(int x) { return x * 1 + 2 * 3; }").unwrap();
-/// let e = match &prog.function("f").unwrap().body.stmts[0].kind {
+/// let mut e = match &prog.function("f").unwrap().body.stmts[0].kind {
 ///     StmtKind::Return(Some(e)) => e.clone(),
 ///     _ => unreachable!(),
 /// };
-/// assert_eq!(fold_expr(&e).to_c(), "(x + 6)");
+/// fold_expr_mut(&mut e);
+/// assert_eq!(e.to_c(), "(x + 6)");
 /// ```
-pub fn fold_expr(e: &Expr) -> Expr {
-    map_expr(e, &mut fold_node)
+pub fn fold_expr_mut(e: &mut Expr) {
+    map_expr_mut(e, &mut |x| {
+        // `fold_node` returns every other kind unchanged.
+        if matches!(
+            x.kind,
+            ExprKind::Unary { .. } | ExprKind::Binary { .. } | ExprKind::Cond { .. }
+        ) {
+            let placeholder = Expr::int(0, x.span);
+            *x = fold_node(std::mem::replace(x, placeholder));
+        }
+    });
 }
 
 fn fold_node(e: Expr) -> Expr {
@@ -373,5 +377,151 @@ mod tests {
     fn nested_folding_cascades() {
         assert_eq!(fold_ret("(1 + 1) * (2 + 2)"), "8");
         assert_eq!(fold_ret("x * (3 - 2)"), "x");
+    }
+
+    /// The clone-and-rebuild fold that [`fold_block_mut`] replaced, kept
+    /// as the oracle for the in-place traversal: every node is rebuilt
+    /// from its folded children and then passed to [`fold_node`].
+    mod oracle {
+        use super::super::fold_node;
+        use roccc_cparse::ast::*;
+
+        fn map_expr(e: &Expr) -> Expr {
+            let kind = match &e.kind {
+                ExprKind::IntLit(v) => ExprKind::IntLit(*v),
+                ExprKind::Var(n) => ExprKind::Var(n.clone()),
+                ExprKind::ArrayIndex { name, indices } => ExprKind::ArrayIndex {
+                    name: name.clone(),
+                    indices: indices.iter().map(map_expr).collect(),
+                },
+                ExprKind::Unary { op, operand } => ExprKind::Unary {
+                    op: *op,
+                    operand: Box::new(map_expr(operand)),
+                },
+                ExprKind::Binary { op, lhs, rhs } => ExprKind::Binary {
+                    op: *op,
+                    lhs: Box::new(map_expr(lhs)),
+                    rhs: Box::new(map_expr(rhs)),
+                },
+                ExprKind::Cond {
+                    cond,
+                    then_e,
+                    else_e,
+                } => ExprKind::Cond {
+                    cond: Box::new(map_expr(cond)),
+                    then_e: Box::new(map_expr(then_e)),
+                    else_e: Box::new(map_expr(else_e)),
+                },
+                ExprKind::Call { name, args } => ExprKind::Call {
+                    name: name.clone(),
+                    args: args.iter().map(map_expr).collect(),
+                },
+            };
+            fold_node(Expr { kind, span: e.span })
+        }
+
+        fn stmt(s: &Stmt) -> Stmt {
+            let kind = match &s.kind {
+                StmtKind::Decl { name, ty, init } => StmtKind::Decl {
+                    name: name.clone(),
+                    ty: ty.clone(),
+                    init: init.as_ref().map(map_expr),
+                },
+                StmtKind::Assign { target, op, value } => StmtKind::Assign {
+                    target: match target {
+                        LValue::ArrayElem { name, indices } => LValue::ArrayElem {
+                            name: name.clone(),
+                            indices: indices.iter().map(map_expr).collect(),
+                        },
+                        other => other.clone(),
+                    },
+                    op: *op,
+                    value: map_expr(value),
+                },
+                StmtKind::If {
+                    cond,
+                    then_blk,
+                    else_blk,
+                } => StmtKind::If {
+                    cond: map_expr(cond),
+                    then_blk: block(then_blk),
+                    else_blk: else_blk.as_ref().map(block),
+                },
+                StmtKind::For {
+                    init,
+                    cond,
+                    step,
+                    body,
+                } => StmtKind::For {
+                    init: init.as_ref().map(|st| Box::new(stmt(st))),
+                    cond: cond.as_ref().map(map_expr),
+                    step: step.as_ref().map(|st| Box::new(stmt(st))),
+                    body: block(body),
+                },
+                StmtKind::While { cond, body } => StmtKind::While {
+                    cond: map_expr(cond),
+                    body: block(body),
+                },
+                StmtKind::Return(e) => StmtKind::Return(e.as_ref().map(map_expr)),
+                StmtKind::Block(b) => StmtKind::Block(block(b)),
+                StmtKind::Expr(e) => StmtKind::Expr(map_expr(e)),
+            };
+            Stmt { kind, span: s.span }
+        }
+
+        pub fn block(b: &Block) -> Block {
+            Block {
+                stmts: b.stmts.iter().map(stmt).collect(),
+                span: b.span,
+            }
+        }
+    }
+
+    /// Folds `b` in place and checks the result against the oracle, and
+    /// that a second fold changes nothing.
+    fn check_fold(b: &Block, what: &str) -> Block {
+        let mut folded = b.clone();
+        fold_block_mut(&mut folded);
+        assert!(folded == oracle::block(b), "{what}: in-place fold differs");
+        let mut twice = folded.clone();
+        fold_block_mut(&mut twice);
+        assert!(twice == folded, "{what}: folding is not idempotent");
+        folded
+    }
+
+    #[test]
+    fn in_place_fold_matches_oracle_on_generated_kernels() {
+        for case in 0..520u64 {
+            let mut rng = roccc_testutil::XorShift64::new(0xf01d + case);
+            let src = roccc_testutil::exprgen::gen_kernel_source(&mut rng, 1 + case as u32 % 5);
+            let prog = parse(&src).unwrap();
+            check_fold(&prog.function("k").unwrap().body, &src);
+        }
+    }
+
+    #[test]
+    fn in_place_fold_matches_oracle_on_sweep_bodies() {
+        use roccc_ipcores::kernels::{dct_source, fir_source, wavelet_source};
+        for (name, src) in [
+            ("fir", fir_source()),
+            ("dct", dct_source()),
+            ("wavelet", wavelet_source()),
+        ] {
+            let f0 = parse(&src).unwrap().function(name).unwrap().clone();
+            for factor in [1u64, 2, 3, 4, 6, 8] {
+                for strip in [0u64, 2, 4, 8] {
+                    let what = format!("{name} u{factor} s{strip}");
+                    let mut f = f0.clone();
+                    if strip > 0 {
+                        f = crate::stripmine::stripmine_unroll_function_checked(&f, strip).unwrap();
+                        f.body = check_fold(&f.body, &what);
+                    }
+                    if factor > 1 {
+                        f = crate::unroll::partially_unroll_function_checked(&f, factor).unwrap();
+                        check_fold(&f.body, &what);
+                    }
+                }
+            }
+        }
     }
 }

@@ -14,7 +14,9 @@
 //! written by either body are disjoint from scalars used by the other.
 
 use crate::loops::{recognize, CanonLoop};
-use crate::subst::{collect_scalar_writes, collect_var_reads};
+use crate::subst::{
+    collect_scalar_writes, collect_var_reads, for_each_block_expr, for_each_expr, for_each_stmt,
+};
 use roccc_cparse::ast::*;
 use std::collections::HashSet;
 
@@ -156,181 +158,30 @@ fn bodies_independent(a: &CanonLoop, b: &CanonLoop) -> bool {
 
 fn block_var_reads(b: &Block) -> HashSet<String> {
     let mut reads = Vec::new();
-    for s in &b.stmts {
-        collect_stmt_reads(s, &mut reads);
-    }
+    for_each_block_expr(b, &mut |e| collect_var_reads(e, &mut reads));
     reads.into_iter().collect()
-}
-
-fn collect_stmt_reads(s: &Stmt, out: &mut Vec<String>) {
-    match &s.kind {
-        StmtKind::Decl { init, .. } => {
-            if let Some(e) = init {
-                collect_var_reads(e, out);
-            }
-        }
-        StmtKind::Assign { target, value, .. } => {
-            collect_var_reads(value, out);
-            if let LValue::ArrayElem { indices, .. } = target {
-                for i in indices {
-                    collect_var_reads(i, out);
-                }
-            }
-        }
-        StmtKind::If {
-            cond,
-            then_blk,
-            else_blk,
-        } => {
-            collect_var_reads(cond, out);
-            for st in &then_blk.stmts {
-                collect_stmt_reads(st, out);
-            }
-            if let Some(e) = else_blk {
-                for st in &e.stmts {
-                    collect_stmt_reads(st, out);
-                }
-            }
-        }
-        StmtKind::For {
-            init,
-            cond,
-            step,
-            body,
-        } => {
-            if let Some(i) = init {
-                collect_stmt_reads(i, out);
-            }
-            if let Some(c) = cond {
-                collect_var_reads(c, out);
-            }
-            if let Some(st) = step {
-                collect_stmt_reads(st, out);
-            }
-            for st in &body.stmts {
-                collect_stmt_reads(st, out);
-            }
-        }
-        StmtKind::While { cond, body } => {
-            collect_var_reads(cond, out);
-            for st in &body.stmts {
-                collect_stmt_reads(st, out);
-            }
-        }
-        StmtKind::Return(Some(e)) => collect_var_reads(e, out),
-        StmtKind::Return(None) => {}
-        StmtKind::Block(b) => {
-            for st in &b.stmts {
-                collect_stmt_reads(st, out);
-            }
-        }
-        StmtKind::Expr(e) => collect_var_reads(e, out),
-    }
 }
 
 /// Returns (written arrays, read arrays) in a block.
 fn array_accesses(b: &Block) -> (HashSet<String>, HashSet<String>) {
     let mut writes = HashSet::new();
+    for_each_stmt(b, &mut |s| {
+        if let StmtKind::Assign {
+            target: LValue::ArrayElem { name, .. },
+            ..
+        } = &s.kind
+        {
+            writes.insert(name.clone());
+        }
+    });
     let mut reads = HashSet::new();
-    fn walk_expr(e: &Expr, reads: &mut HashSet<String>) {
-        match &e.kind {
-            ExprKind::ArrayIndex { name, indices } => {
+    for_each_block_expr(b, &mut |top| {
+        for_each_expr(top, &mut |e| {
+            if let ExprKind::ArrayIndex { name, .. } = &e.kind {
                 reads.insert(name.clone());
-                for i in indices {
-                    walk_expr(i, reads);
-                }
             }
-            ExprKind::Unary { operand, .. } => walk_expr(operand, reads),
-            ExprKind::Binary { lhs, rhs, .. } => {
-                walk_expr(lhs, reads);
-                walk_expr(rhs, reads);
-            }
-            ExprKind::Cond {
-                cond,
-                then_e,
-                else_e,
-            } => {
-                walk_expr(cond, reads);
-                walk_expr(then_e, reads);
-                walk_expr(else_e, reads);
-            }
-            ExprKind::Call { args, .. } => {
-                for a in args {
-                    walk_expr(a, reads);
-                }
-            }
-            _ => {}
-        }
-    }
-    fn walk_stmt(s: &Stmt, writes: &mut HashSet<String>, reads: &mut HashSet<String>) {
-        match &s.kind {
-            StmtKind::Decl { init, .. } => {
-                if let Some(e) = init {
-                    walk_expr(e, reads);
-                }
-            }
-            StmtKind::Assign { target, value, .. } => {
-                walk_expr(value, reads);
-                if let LValue::ArrayElem { name, indices } = target {
-                    writes.insert(name.clone());
-                    for i in indices {
-                        walk_expr(i, reads);
-                    }
-                }
-            }
-            StmtKind::If {
-                cond,
-                then_blk,
-                else_blk,
-            } => {
-                walk_expr(cond, reads);
-                for st in &then_blk.stmts {
-                    walk_stmt(st, writes, reads);
-                }
-                if let Some(e) = else_blk {
-                    for st in &e.stmts {
-                        walk_stmt(st, writes, reads);
-                    }
-                }
-            }
-            StmtKind::For {
-                init,
-                cond,
-                step,
-                body,
-            } => {
-                if let Some(i) = init {
-                    walk_stmt(i, writes, reads);
-                }
-                if let Some(c) = cond {
-                    walk_expr(c, reads);
-                }
-                if let Some(st) = step {
-                    walk_stmt(st, writes, reads);
-                }
-                for st in &body.stmts {
-                    walk_stmt(st, writes, reads);
-                }
-            }
-            StmtKind::While { cond, body } => {
-                walk_expr(cond, reads);
-                for st in &body.stmts {
-                    walk_stmt(st, writes, reads);
-                }
-            }
-            StmtKind::Return(Some(e)) => walk_expr(e, reads),
-            StmtKind::Return(None) => {}
-            StmtKind::Block(b) => {
-                for st in &b.stmts {
-                    walk_stmt(st, writes, reads);
-                }
-            }
-            StmtKind::Expr(e) => walk_expr(e, reads),
-        }
-    }
-    for s in &b.stmts {
-        walk_stmt(s, &mut writes, &mut reads);
-    }
+        })
+    });
     (writes, reads)
 }
 

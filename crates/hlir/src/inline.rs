@@ -7,15 +7,33 @@
 //! become initialized locals and `return e` becomes an assignment to a
 //! result temporary.
 
-use crate::subst::rename_vars_block;
+use crate::subst::{for_each_block_expr, for_each_expr, map_expr_mut, rename_vars_block};
 use roccc_cparse::ast::intrinsics;
 use roccc_cparse::ast::*;
 use roccc_cparse::types::CType;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Inlines all calls to defined functions in every function of `p`.
-/// Intrinsic calls (`ROCCC_*`) are left untouched.
+/// Intrinsic calls (`ROCCC_*`) are left untouched. A program in which no
+/// function calls a defined function comes back as a plain copy.
 pub fn inline_program(p: &Program) -> Program {
+    let defined: HashSet<&str> = p
+        .items
+        .iter()
+        .filter_map(|i| match i {
+            Item::Function(f) => Some(f.name.as_str()),
+            _ => None,
+        })
+        .collect();
+    let calls_defined = p.items.iter().any(|i| match i {
+        Item::Function(f) => callee_names(&f.body)
+            .iter()
+            .any(|c| defined.contains(c.as_str())),
+        _ => false,
+    });
+    if !calls_defined {
+        return p.clone();
+    }
     let functions: HashMap<String, Function> = p
         .items
         .iter()
@@ -70,106 +88,15 @@ pub fn inline_program(p: &Program) -> Program {
 
 fn callee_names(b: &Block) -> Vec<String> {
     let mut out = Vec::new();
-    fn walk_expr(e: &Expr, out: &mut Vec<String>) {
-        match &e.kind {
-            ExprKind::Call { name, args } => {
+    for_each_block_expr(b, &mut |top| {
+        for_each_expr(top, &mut |e| {
+            if let ExprKind::Call { name, .. } = &e.kind {
                 if !intrinsics::is_intrinsic(name) {
                     out.push(name.clone());
                 }
-                for a in args {
-                    walk_expr(a, out);
-                }
             }
-            ExprKind::Unary { operand, .. } => walk_expr(operand, out),
-            ExprKind::Binary { lhs, rhs, .. } => {
-                walk_expr(lhs, out);
-                walk_expr(rhs, out);
-            }
-            ExprKind::Cond {
-                cond,
-                then_e,
-                else_e,
-            } => {
-                walk_expr(cond, out);
-                walk_expr(then_e, out);
-                walk_expr(else_e, out);
-            }
-            ExprKind::ArrayIndex { indices, .. } => {
-                for i in indices {
-                    walk_expr(i, out);
-                }
-            }
-            _ => {}
-        }
-    }
-    fn walk_stmt(s: &Stmt, out: &mut Vec<String>) {
-        match &s.kind {
-            StmtKind::Decl { init, .. } => {
-                if let Some(e) = init {
-                    walk_expr(e, out);
-                }
-            }
-            StmtKind::Assign { value, target, .. } => {
-                walk_expr(value, out);
-                if let LValue::ArrayElem { indices, .. } = target {
-                    for i in indices {
-                        walk_expr(i, out);
-                    }
-                }
-            }
-            StmtKind::If {
-                cond,
-                then_blk,
-                else_blk,
-            } => {
-                walk_expr(cond, out);
-                for st in &then_blk.stmts {
-                    walk_stmt(st, out);
-                }
-                if let Some(e) = else_blk {
-                    for st in &e.stmts {
-                        walk_stmt(st, out);
-                    }
-                }
-            }
-            StmtKind::For {
-                init,
-                cond,
-                step,
-                body,
-            } => {
-                if let Some(i) = init {
-                    walk_stmt(i, out);
-                }
-                if let Some(c) = cond {
-                    walk_expr(c, out);
-                }
-                if let Some(st) = step {
-                    walk_stmt(st, out);
-                }
-                for st in &body.stmts {
-                    walk_stmt(st, out);
-                }
-            }
-            StmtKind::While { cond, body } => {
-                walk_expr(cond, out);
-                for st in &body.stmts {
-                    walk_stmt(st, out);
-                }
-            }
-            StmtKind::Return(Some(e)) => walk_expr(e, out),
-            StmtKind::Return(None) => {}
-            StmtKind::Block(b) => {
-                for st in &b.stmts {
-                    walk_stmt(st, out);
-                }
-            }
-            StmtKind::Expr(e) => walk_expr(e, out),
-        }
-    }
-    for s in &b.stmts {
-        walk_stmt(s, &mut out);
-    }
+        })
+    });
     out
 }
 
@@ -255,56 +182,17 @@ impl<'a> Inliner<'a> {
     /// Rewrites an expression, hoisting inlined call bodies into `out` and
     /// replacing each call with its result temporary.
     fn expr(&mut self, e: &Expr, out: &mut Vec<Stmt>) -> Expr {
-        match &e.kind {
-            ExprKind::Call { name, args } if self.functions.contains_key(name) => {
-                let args: Vec<Expr> = args.iter().map(|a| self.expr(a, out)).collect();
-                let callee = self.functions[name].clone();
-
-                self.inline_call(&callee, &args, e.span, out)
+        let mut e = e.clone();
+        let functions = self.functions;
+        // Bottom-up, so a call's arguments are inlined before the call.
+        map_expr_mut(&mut e, &mut |x| {
+            if let ExprKind::Call { name, args } = &x.kind {
+                if let Some(callee) = functions.get(name) {
+                    *x = self.inline_call(callee, args, x.span, out);
+                }
             }
-            ExprKind::Call { name, args } => Expr {
-                kind: ExprKind::Call {
-                    name: name.clone(),
-                    args: args.iter().map(|a| self.expr(a, out)).collect(),
-                },
-                span: e.span,
-            },
-            ExprKind::Unary { op, operand } => Expr {
-                kind: ExprKind::Unary {
-                    op: *op,
-                    operand: Box::new(self.expr(operand, out)),
-                },
-                span: e.span,
-            },
-            ExprKind::Binary { op, lhs, rhs } => Expr {
-                kind: ExprKind::Binary {
-                    op: *op,
-                    lhs: Box::new(self.expr(lhs, out)),
-                    rhs: Box::new(self.expr(rhs, out)),
-                },
-                span: e.span,
-            },
-            ExprKind::Cond {
-                cond,
-                then_e,
-                else_e,
-            } => Expr {
-                kind: ExprKind::Cond {
-                    cond: Box::new(self.expr(cond, out)),
-                    then_e: Box::new(self.expr(then_e, out)),
-                    else_e: Box::new(self.expr(else_e, out)),
-                },
-                span: e.span,
-            },
-            ExprKind::ArrayIndex { name, indices } => Expr {
-                kind: ExprKind::ArrayIndex {
-                    name: name.clone(),
-                    indices: indices.iter().map(|i| self.expr(i, out)).collect(),
-                },
-                span: e.span,
-            },
-            _ => e.clone(),
-        }
+        });
+        e
     }
 
     /// Splices `callee`'s body into `out` and returns the expression that
@@ -366,7 +254,8 @@ impl<'a> Inliner<'a> {
         // Splice the body with renames, converting `return e` into
         // `ret = e` (callees in the subset return at the tail, enforced by
         // construction: a mid-body return would need control-flow splitting).
-        let renamed = rename_vars_block(&callee.body, &rename);
+        let mut renamed = callee.body.clone();
+        rename_vars_block(&mut renamed, &rename);
         for s in renamed.stmts {
             match s.kind {
                 StmtKind::Return(Some(e)) => out.push(Stmt {

@@ -43,25 +43,7 @@ impl CanonLoop {
     /// assert_eq!(l.trip_count(), Some(4));
     /// ```
     pub fn trip_count(&self) -> Option<u64> {
-        if self.step <= 0 {
-            return None;
-        }
-        let distance = match self.cmp {
-            BinOp::Lt => self.bound - self.start,
-            BinOp::Le => self.bound - self.start + 1,
-            BinOp::Ne => {
-                let d = self.bound - self.start;
-                if d % self.step != 0 || d < 0 {
-                    return None;
-                }
-                d
-            }
-            _ => return None,
-        };
-        if distance <= 0 {
-            return Some(0);
-        }
-        Some(((distance + self.step - 1) / self.step) as u64)
+        trip_count(self.start, self.bound, self.cmp, self.step)
     }
 
     /// The induction-variable value for iteration `k` (0-based).
@@ -72,6 +54,11 @@ impl CanonLoop {
     /// Rebuilds an equivalent `for` statement from (possibly modified)
     /// fields.
     pub fn to_stmt(&self) -> Stmt {
+        self.clone().into_stmt()
+    }
+
+    /// [`CanonLoop::to_stmt`], moving the body into the statement.
+    pub fn into_stmt(self) -> Stmt {
         let sp = self.span;
         let init: Stmt = match &self.decl_ty {
             Some(ty) => Stmt {
@@ -112,9 +99,65 @@ impl CanonLoop {
                 init: Some(Box::new(init)),
                 cond: Some(cond),
                 step: Some(Box::new(step)),
-                body: self.body.clone(),
+                body: self.body,
             },
             span: sp,
+        }
+    }
+}
+
+fn trip_count(start: i64, bound: i64, cmp: BinOp, step: i64) -> Option<u64> {
+    if step <= 0 {
+        return None;
+    }
+    let distance = match cmp {
+        BinOp::Lt => bound - start,
+        BinOp::Le => bound - start + 1,
+        BinOp::Ne => {
+            let d = bound - start;
+            if d % step != 0 || d < 0 {
+                return None;
+            }
+            d
+        }
+        _ => return None,
+    };
+    if distance <= 0 {
+        return Some(0);
+    }
+    Some(((distance + step - 1) / step) as u64)
+}
+
+/// The header of a recognized counted loop: every [`CanonLoop`] field but
+/// the body.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct LoopHeader {
+    pub var: String,
+    pub decl_ty: Option<CType>,
+    pub start: i64,
+    pub bound: i64,
+    pub cmp: BinOp,
+    pub step: i64,
+    pub span: roccc_cparse::span::Span,
+}
+
+impl LoopHeader {
+    /// See [`CanonLoop::trip_count`].
+    pub fn trip_count(&self) -> Option<u64> {
+        trip_count(self.start, self.bound, self.cmp, self.step)
+    }
+
+    /// The loop with this header and `body`.
+    pub fn with_body(self, body: Block) -> CanonLoop {
+        CanonLoop {
+            var: self.var,
+            decl_ty: self.decl_ty,
+            start: self.start,
+            bound: self.bound,
+            cmp: self.cmp,
+            step: self.step,
+            body,
+            span: self.span,
         }
     }
 }
@@ -125,13 +168,45 @@ impl CanonLoop {
 /// not in the constant-bound form (`i = c0; i </<=/!= c1; i = i + c2`,
 /// `i += c2`, or `i++`).
 pub fn recognize(stmt: &Stmt) -> Option<CanonLoop> {
-    let (init, cond, step, body) = match &stmt.kind {
+    let header = recognize_header(stmt)?;
+    let StmtKind::For { body, .. } = &stmt.kind else {
+        unreachable!("a recognized loop is a `for` statement");
+    };
+    Some(header.with_body(body.clone()))
+}
+
+/// True when `b` contains a `for` or `while` loop, looking through branches
+/// and bare blocks but not into loop bodies.
+pub(crate) fn contains_loop(b: &Block) -> bool {
+    b.stmts.iter().any(|s| match &s.kind {
+        StmtKind::For { .. } | StmtKind::While { .. } => true,
+        StmtKind::If {
+            then_blk, else_blk, ..
+        } => contains_loop(then_blk) || else_blk.as_ref().is_some_and(contains_loop),
+        StmtKind::Block(inner) => contains_loop(inner),
+        _ => false,
+    })
+}
+
+/// [`recognize`], moving the body out of `stmt` instead of copying it;
+/// `stmt` keeps its header and an empty body.
+pub(crate) fn take_loop(stmt: &mut Stmt) -> Option<CanonLoop> {
+    let header = recognize_header(stmt)?;
+    let StmtKind::For { body, .. } = &mut stmt.kind else {
+        unreachable!("a recognized loop is a `for` statement");
+    };
+    Some(header.with_body(std::mem::take(body)))
+}
+
+/// [`recognize`] without the body.
+pub(crate) fn recognize_header(stmt: &Stmt) -> Option<LoopHeader> {
+    let (init, cond, step) = match &stmt.kind {
         StmtKind::For {
             init: Some(init),
             cond: Some(cond),
             step: Some(step),
-            body,
-        } => (init, cond, step, body),
+            ..
+        } => (init, cond, step),
         _ => return None,
     };
 
@@ -196,14 +271,13 @@ pub fn recognize(stmt: &Stmt) -> Option<CanonLoop> {
         return None;
     }
 
-    Some(CanonLoop {
+    Some(LoopHeader {
         var,
         decl_ty,
         start,
         bound,
         cmp,
         step: step_val,
-        body: body.clone(),
         span: stmt.span,
     })
 }

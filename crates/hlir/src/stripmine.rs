@@ -6,7 +6,7 @@
 //! that each outer iteration feeds a wide data-path fed from one smart-buffer
 //! line, matching the strip size to the memory bus width.
 
-use crate::loops::{recognize, CanonLoop};
+use crate::loops::{contains_loop, recognize, recognize_header, CanonLoop};
 use roccc_cparse::ast::*;
 use roccc_cparse::span::Span;
 
@@ -26,10 +26,9 @@ use roccc_cparse::span::Span;
 /// Loops that are not innermost, not canonical, or shorter than one strip
 /// are left untouched.
 pub fn stripmine_unroll_function(f: &Function, strip: u64) -> Function {
-    Function {
-        body: smu_block(&f.body, strip),
-        ..f.clone()
-    }
+    let mut f = f.clone();
+    smu_block(&mut f.body, strip);
+    f
 }
 
 /// [`stripmine_unroll_function`] behind the loop-carried dependence gate:
@@ -54,65 +53,47 @@ pub fn stripmine_unroll_function_checked(
     Ok(stripmine_unroll_function(f, strip))
 }
 
-fn smu_block(b: &Block, strip: u64) -> Block {
-    Block {
-        stmts: b.stmts.iter().map(|s| smu_stmt(s, strip)).collect(),
-        span: b.span,
-    }
+/// Strip-mines and flattens the innermost loops of `b` in place; true
+/// when anything changed.
+fn smu_block(b: &mut Block, strip: u64) -> bool {
+    b.stmts
+        .iter_mut()
+        .fold(false, |changed, s| smu_stmt(s, strip) | changed)
 }
 
-fn contains_loop(b: &Block) -> bool {
-    b.stmts.iter().any(|s| match &s.kind {
-        StmtKind::For { .. } | StmtKind::While { .. } => true,
+fn smu_stmt(s: &mut Stmt, strip: u64) -> bool {
+    if let Some(header) = recognize_header(s) {
+        let StmtKind::For { body, .. } = &mut s.kind else {
+            unreachable!("a recognized loop is a `for` statement");
+        };
+        if contains_loop(body) {
+            // Not innermost: recurse, and rebuild the header only when the
+            // body changed.
+            if !smu_block(body, strip) {
+                return false;
+            }
+            *s = header.with_body(std::mem::take(body)).into_stmt();
+            return true;
+        }
+        let l = header.with_body(std::mem::take(body));
+        return match stripmine_unroll(&l, strip) {
+            Some(flattened) => {
+                *s = flattened;
+                true
+            }
+            // Too short for one strip: leave the loop untouched.
+            None => {
+                *body = l.body;
+                false
+            }
+        };
+    }
+    match &mut s.kind {
         StmtKind::If {
             then_blk, else_blk, ..
-        } => contains_loop(then_blk) || else_blk.as_ref().is_some_and(contains_loop),
-        StmtKind::Block(inner) => contains_loop(inner),
+        } => smu_block(then_blk, strip) | else_blk.as_mut().is_some_and(|e| smu_block(e, strip)),
+        StmtKind::Block(b) => smu_block(b, strip),
         _ => false,
-    })
-}
-
-fn smu_stmt(s: &Stmt, strip: u64) -> Stmt {
-    match &s.kind {
-        StmtKind::For { .. } => {
-            if let Some(l) = recognize(s) {
-                let body = smu_block(&l.body, strip);
-                if contains_loop(&body) {
-                    // Not innermost: keep the header, recurse only.
-                    if body == l.body {
-                        s.clone()
-                    } else {
-                        CanonLoop { body, ..l }.to_stmt()
-                    }
-                } else {
-                    let l = CanonLoop { body, ..l };
-                    match stripmine_unroll(&l, strip) {
-                        Some(flattened) => flattened,
-                        // Too short for one strip: leave the loop untouched.
-                        None => s.clone(),
-                    }
-                }
-            } else {
-                s.clone()
-            }
-        }
-        StmtKind::If {
-            cond,
-            then_blk,
-            else_blk,
-        } => Stmt {
-            kind: StmtKind::If {
-                cond: cond.clone(),
-                then_blk: smu_block(then_blk, strip),
-                else_blk: else_blk.as_ref().map(|b| smu_block(b, strip)),
-            },
-            span: s.span,
-        },
-        StmtKind::Block(b) => Stmt {
-            kind: StmtKind::Block(smu_block(b, strip)),
-            span: s.span,
-        },
-        _ => s.clone(),
     }
 }
 

@@ -1,150 +1,191 @@
 //! AST rewriting helpers shared by the loop transformations.
+//!
+//! Rewrites happen in place: a pass that needs a fresh copy of a statement
+//! (one unrolled body copy, say) clones it once, and every later rewrite
+//! mutates that copy without rebuilding it.
 
 use roccc_cparse::ast::*;
+use std::collections::HashMap;
 
-/// Applies `f` bottom-up to every expression inside `e`, rebuilding the tree.
-pub fn map_expr(e: &Expr, f: &mut impl FnMut(Expr) -> Expr) -> Expr {
-    let kind = match &e.kind {
-        ExprKind::IntLit(v) => ExprKind::IntLit(*v),
-        ExprKind::Var(n) => ExprKind::Var(n.clone()),
-        ExprKind::ArrayIndex { name, indices } => ExprKind::ArrayIndex {
-            name: name.clone(),
-            indices: indices.iter().map(|i| map_expr(i, f)).collect(),
-        },
-        ExprKind::Unary { op, operand } => ExprKind::Unary {
-            op: *op,
-            operand: Box::new(map_expr(operand, f)),
-        },
-        ExprKind::Binary { op, lhs, rhs } => ExprKind::Binary {
-            op: *op,
-            lhs: Box::new(map_expr(lhs, f)),
-            rhs: Box::new(map_expr(rhs, f)),
-        },
-        ExprKind::Cond {
-            cond,
-            then_e,
-            else_e,
-        } => ExprKind::Cond {
-            cond: Box::new(map_expr(cond, f)),
-            then_e: Box::new(map_expr(then_e, f)),
-            else_e: Box::new(map_expr(else_e, f)),
-        },
-        ExprKind::Call { name, args } => ExprKind::Call {
-            name: name.clone(),
-            args: args.iter().map(|a| map_expr(a, f)).collect(),
-        },
-    };
-    f(Expr { kind, span: e.span })
-}
-
-/// Replaces every read of variable `var` with `replacement`.
-pub fn subst_var(e: &Expr, var: &str, replacement: &Expr) -> Expr {
-    map_expr(e, &mut |x| match &x.kind {
-        ExprKind::Var(n) if n == var => Expr {
-            kind: replacement.kind.clone(),
-            span: x.span,
-        },
-        _ => x,
-    })
-}
-
-/// Substitutes `var` in every expression position of a statement tree.
-pub fn subst_var_stmt(s: &Stmt, var: &str, replacement: &Expr) -> Stmt {
-    map_stmt_exprs(s, &mut |e| subst_var(&e, var, replacement))
-}
-
-/// Applies `f` to every top-level expression of a statement tree (conditions,
-/// right-hand sides, indices, initializers), recursing through blocks.
-pub fn map_stmt_exprs(s: &Stmt, f: &mut impl FnMut(Expr) -> Expr) -> Stmt {
-    let kind = match &s.kind {
-        StmtKind::Decl { name, ty, init } => StmtKind::Decl {
-            name: name.clone(),
-            ty: ty.clone(),
-            init: init.as_ref().map(|e| f(e.clone())),
-        },
-        StmtKind::Assign { target, op, value } => StmtKind::Assign {
-            target: map_lvalue(target, f),
-            op: *op,
-            value: f(value.clone()),
-        },
-        StmtKind::If {
-            cond,
-            then_blk,
-            else_blk,
-        } => StmtKind::If {
-            cond: f(cond.clone()),
-            then_blk: map_block_exprs(then_blk, f),
-            else_blk: else_blk.as_ref().map(|b| map_block_exprs(b, f)),
-        },
-        StmtKind::For {
-            init,
-            cond,
-            step,
-            body,
-        } => StmtKind::For {
-            init: init.as_ref().map(|st| Box::new(map_stmt_exprs(st, f))),
-            cond: cond.as_ref().map(|e| f(e.clone())),
-            step: step.as_ref().map(|st| Box::new(map_stmt_exprs(st, f))),
-            body: map_block_exprs(body, f),
-        },
-        StmtKind::While { cond, body } => StmtKind::While {
-            cond: f(cond.clone()),
-            body: map_block_exprs(body, f),
-        },
-        StmtKind::Return(e) => StmtKind::Return(e.as_ref().map(|e| f(e.clone()))),
-        StmtKind::Block(b) => StmtKind::Block(map_block_exprs(b, f)),
-        StmtKind::Expr(e) => StmtKind::Expr(f(e.clone())),
-    };
-    Stmt { kind, span: s.span }
-}
-
-/// Applies `f` to every expression in a block.
-pub fn map_block_exprs(b: &Block, f: &mut impl FnMut(Expr) -> Expr) -> Block {
-    Block {
-        stmts: b.stmts.iter().map(|s| map_stmt_exprs(s, f)).collect(),
-        span: b.span,
-    }
-}
-
-fn map_lvalue(lv: &LValue, f: &mut impl FnMut(Expr) -> Expr) -> LValue {
-    match lv {
-        LValue::Var(n) => LValue::Var(n.clone()),
-        LValue::ArrayElem { name, indices } => LValue::ArrayElem {
-            name: name.clone(),
-            indices: indices.iter().map(|e| f(e.clone())).collect(),
-        },
-        LValue::Deref(n) => LValue::Deref(n.clone()),
-    }
-}
-
-/// Collects the names of all variables read anywhere in `e`.
-pub fn collect_var_reads(e: &Expr, out: &mut Vec<String>) {
-    match &e.kind {
-        ExprKind::IntLit(_) => {}
-        ExprKind::Var(n) => out.push(n.clone()),
-        ExprKind::ArrayIndex { indices, .. } => {
-            for i in indices {
-                collect_var_reads(i, out);
+/// Applies `f` bottom-up to every expression node inside `e`, in place:
+/// children first, then the node itself. A node `f` replaces is not
+/// revisited.
+pub(crate) fn map_expr_mut(e: &mut Expr, f: &mut impl FnMut(&mut Expr)) {
+    match &mut e.kind {
+        ExprKind::IntLit(_) | ExprKind::Var(_) => {}
+        ExprKind::ArrayIndex { indices: args, .. } | ExprKind::Call { args, .. } => {
+            for a in args {
+                map_expr_mut(a, f);
             }
         }
-        ExprKind::Unary { operand, .. } => collect_var_reads(operand, out),
+        ExprKind::Unary { operand, .. } => map_expr_mut(operand, f),
         ExprKind::Binary { lhs, rhs, .. } => {
-            collect_var_reads(lhs, out);
-            collect_var_reads(rhs, out);
+            map_expr_mut(lhs, f);
+            map_expr_mut(rhs, f);
         }
         ExprKind::Cond {
             cond,
             then_e,
             else_e,
         } => {
-            collect_var_reads(cond, out);
-            collect_var_reads(then_e, out);
-            collect_var_reads(else_e, out);
+            map_expr_mut(cond, f);
+            map_expr_mut(then_e, f);
+            map_expr_mut(else_e, f);
         }
-        ExprKind::Call { args, .. } => {
+    }
+    f(e);
+}
+
+/// Visits every expression node inside `e` in the order [`map_expr_mut`]
+/// rewrites them.
+pub(crate) fn for_each_expr<'a>(e: &'a Expr, f: &mut impl FnMut(&'a Expr)) {
+    match &e.kind {
+        ExprKind::IntLit(_) | ExprKind::Var(_) => {}
+        ExprKind::ArrayIndex { indices: args, .. } | ExprKind::Call { args, .. } => {
             for a in args {
-                collect_var_reads(a, out);
+                for_each_expr(a, f);
             }
+        }
+        ExprKind::Unary { operand, .. } => for_each_expr(operand, f),
+        ExprKind::Binary { lhs, rhs, .. } => {
+            for_each_expr(lhs, f);
+            for_each_expr(rhs, f);
+        }
+        ExprKind::Cond {
+            cond,
+            then_e,
+            else_e,
+        } => {
+            for_each_expr(cond, f);
+            for_each_expr(then_e, f);
+            for_each_expr(else_e, f);
+        }
+    }
+    f(e);
+}
+
+/// Replaces every read of variable `var` in a copy of `s` with
+/// `replacement`.
+pub fn subst_var_stmt(s: &Stmt, var: &str, replacement: &Expr) -> Stmt {
+    let mut s = s.clone();
+    map_stmt_exprs_mut(&mut s, &mut |e| {
+        map_expr_mut(e, &mut |x| {
+            if matches!(&x.kind, ExprKind::Var(n) if n == var) {
+                x.kind = replacement.kind.clone();
+            }
+        })
+    });
+    s
+}
+
+/// Applies `f` in place to every top-level expression of a statement tree
+/// (conditions, right-hand sides, store indices, initializers), recursing
+/// through blocks and loop headers.
+pub(crate) fn map_stmt_exprs_mut(s: &mut Stmt, f: &mut impl FnMut(&mut Expr)) {
+    match &mut s.kind {
+        StmtKind::Decl { init, .. } => init.iter_mut().for_each(f),
+        StmtKind::Assign { target, value, .. } => {
+            if let LValue::ArrayElem { indices, .. } = target {
+                indices.iter_mut().for_each(&mut *f);
+            }
+            f(value);
+        }
+        StmtKind::If {
+            cond,
+            then_blk,
+            else_blk,
+        } => {
+            f(cond);
+            map_block_exprs_mut(then_blk, f);
+            if let Some(b) = else_blk {
+                map_block_exprs_mut(b, f);
+            }
+        }
+        StmtKind::For {
+            init,
+            cond,
+            step,
+            body,
+        } => {
+            if let Some(st) = init {
+                map_stmt_exprs_mut(st, f);
+            }
+            cond.iter_mut().for_each(&mut *f);
+            if let Some(st) = step {
+                map_stmt_exprs_mut(st, f);
+            }
+            map_block_exprs_mut(body, f);
+        }
+        StmtKind::While { cond, body } => {
+            f(cond);
+            map_block_exprs_mut(body, f);
+        }
+        StmtKind::Return(e) => e.iter_mut().for_each(f),
+        StmtKind::Block(b) => map_block_exprs_mut(b, f),
+        StmtKind::Expr(e) => f(e),
+    }
+}
+
+/// Applies `f` in place to every top-level expression of a block. See
+/// [`map_stmt_exprs_mut`].
+pub(crate) fn map_block_exprs_mut(b: &mut Block, f: &mut impl FnMut(&mut Expr)) {
+    for s in &mut b.stmts {
+        map_stmt_exprs_mut(s, f);
+    }
+}
+
+/// Visits every top-level expression of a block (conditions, right-hand
+/// sides, store indices, initializers), each statement's own before those
+/// of the statements nested in it.
+pub(crate) fn for_each_block_expr<'a>(b: &'a Block, f: &mut impl FnMut(&'a Expr)) {
+    for_each_stmt(b, &mut |s| match &s.kind {
+        StmtKind::Decl { init: Some(e), .. }
+        | StmtKind::If { cond: e, .. }
+        | StmtKind::For { cond: Some(e), .. }
+        | StmtKind::While { cond: e, .. }
+        | StmtKind::Return(Some(e))
+        | StmtKind::Expr(e) => f(e),
+        StmtKind::Assign { target, value, .. } => {
+            if let LValue::ArrayElem { indices, .. } = target {
+                indices.iter().for_each(&mut *f);
+            }
+            f(value);
+        }
+        _ => {}
+    });
+}
+
+/// Collects the names of all variables read anywhere in `e`.
+pub fn collect_var_reads(e: &Expr, out: &mut Vec<String>) {
+    for_each_expr(e, &mut |x| {
+        if let ExprKind::Var(n) = &x.kind {
+            out.push(n.clone());
+        }
+    });
+}
+
+/// Visits every statement of a block tree, each before the statements
+/// nested in it: branch bodies, loop headers, then loop bodies.
+pub(crate) fn for_each_stmt<'a>(b: &'a Block, f: &mut impl FnMut(&'a Stmt)) {
+    for s in &b.stmts {
+        f(s);
+        match &s.kind {
+            StmtKind::If {
+                then_blk, else_blk, ..
+            } => {
+                for_each_stmt(then_blk, f);
+                if let Some(e) = else_blk {
+                    for_each_stmt(e, f);
+                }
+            }
+            StmtKind::For {
+                init, step, body, ..
+            } => {
+                init.iter().chain(step).for_each(|st| f(st));
+                for_each_stmt(body, f);
+            }
+            StmtKind::While { body, .. } | StmtKind::Block(body) => for_each_stmt(body, f),
+            _ => {}
         }
     }
 }
@@ -152,135 +193,85 @@ pub fn collect_var_reads(e: &Expr, out: &mut Vec<String>) {
 /// Collects scalar variables written anywhere in a block (assignments and
 /// declarations with initializers), recursing into nested control flow.
 pub fn collect_scalar_writes(b: &Block, out: &mut Vec<String>) {
-    for s in &b.stmts {
-        collect_scalar_writes_stmt(s, out);
+    for_each_stmt(b, &mut |s| match &s.kind {
+        StmtKind::Decl {
+            name,
+            init: Some(_),
+            ..
+        }
+        | StmtKind::Assign {
+            target: LValue::Var(name),
+            ..
+        } => out.push(name.clone()),
+        _ => {}
+    });
+}
+
+/// Renames every variable occurrence (reads, writes, declarations) in
+/// place using the provided mapping; names absent from the map are left
+/// unchanged. Store indices keep their names.
+pub fn rename_vars_block(b: &mut Block, map: &HashMap<String, String>) {
+    for s in &mut b.stmts {
+        rename_vars_stmt(s, map);
     }
 }
 
-fn collect_scalar_writes_stmt(s: &Stmt, out: &mut Vec<String>) {
-    match &s.kind {
+fn rename_vars_stmt(s: &mut Stmt, map: &HashMap<String, String>) {
+    let rename = |n: &mut String| {
+        if let Some(new) = map.get(n) {
+            n.clone_from(new);
+        }
+    };
+    let expr = &mut |e: &mut Expr| {
+        map_expr_mut(e, &mut |x| match &mut x.kind {
+            ExprKind::Var(n) | ExprKind::ArrayIndex { name: n, .. } => rename(n),
+            _ => {}
+        })
+    };
+    match &mut s.kind {
         StmtKind::Decl { name, init, .. } => {
-            if init.is_some() {
-                out.push(name.clone());
-            }
+            rename(name);
+            init.iter_mut().for_each(expr);
         }
-        StmtKind::Assign { target, .. } => {
-            if let LValue::Var(n) = target {
-                out.push(n.clone());
+        StmtKind::Assign { target, value, .. } => {
+            match target {
+                LValue::Var(n) | LValue::Deref(n) | LValue::ArrayElem { name: n, .. } => rename(n),
             }
+            expr(value);
         }
-        StmtKind::If {
-            then_blk, else_blk, ..
-        } => {
-            collect_scalar_writes(then_blk, out);
-            if let Some(e) = else_blk {
-                collect_scalar_writes(e, out);
-            }
-        }
-        StmtKind::For {
-            init, step, body, ..
-        } => {
-            if let Some(i) = init {
-                collect_scalar_writes_stmt(i, out);
-            }
-            if let Some(st) = step {
-                collect_scalar_writes_stmt(st, out);
-            }
-            collect_scalar_writes(body, out);
-        }
-        StmtKind::While { body, .. } => collect_scalar_writes(body, out),
-        StmtKind::Block(b) => collect_scalar_writes(b, out),
-        StmtKind::Return(_) | StmtKind::Expr(_) => {}
-    }
-}
-
-/// Renames every variable occurrence (reads, writes, declarations) using the
-/// provided mapping; names absent from the map are left unchanged.
-pub fn rename_vars_stmt(s: &Stmt, map: &std::collections::HashMap<String, String>) -> Stmt {
-    let rename = |n: &String| map.get(n).cloned().unwrap_or_else(|| n.clone());
-    let kind = match &s.kind {
-        StmtKind::Decl { name, ty, init } => StmtKind::Decl {
-            name: rename(name),
-            ty: ty.clone(),
-            init: init.as_ref().map(|e| rename_vars_expr(e, map)),
-        },
-        StmtKind::Assign { target, op, value } => StmtKind::Assign {
-            target: rename_lvalue(target, map),
-            op: *op,
-            value: rename_vars_expr(value, map),
-        },
         StmtKind::If {
             cond,
             then_blk,
             else_blk,
-        } => StmtKind::If {
-            cond: rename_vars_expr(cond, map),
-            then_blk: rename_vars_block(then_blk, map),
-            else_blk: else_blk.as_ref().map(|b| rename_vars_block(b, map)),
-        },
+        } => {
+            expr(cond);
+            rename_vars_block(then_blk, map);
+            if let Some(b) = else_blk {
+                rename_vars_block(b, map);
+            }
+        }
         StmtKind::For {
             init,
             cond,
             step,
             body,
-        } => StmtKind::For {
-            init: init.as_ref().map(|st| Box::new(rename_vars_stmt(st, map))),
-            cond: cond.as_ref().map(|e| rename_vars_expr(e, map)),
-            step: step.as_ref().map(|st| Box::new(rename_vars_stmt(st, map))),
-            body: rename_vars_block(body, map),
-        },
-        StmtKind::While { cond, body } => StmtKind::While {
-            cond: rename_vars_expr(cond, map),
-            body: rename_vars_block(body, map),
-        },
-        StmtKind::Return(e) => StmtKind::Return(e.as_ref().map(|e| rename_vars_expr(e, map))),
-        StmtKind::Block(b) => StmtKind::Block(rename_vars_block(b, map)),
-        StmtKind::Expr(e) => StmtKind::Expr(rename_vars_expr(e, map)),
-    };
-    Stmt { kind, span: s.span }
-}
-
-/// Renames variables in a block. See [`rename_vars_stmt`].
-pub fn rename_vars_block(b: &Block, map: &std::collections::HashMap<String, String>) -> Block {
-    Block {
-        stmts: b.stmts.iter().map(|s| rename_vars_stmt(s, map)).collect(),
-        span: b.span,
-    }
-}
-
-/// Renames variables in an expression. See [`rename_vars_stmt`].
-pub fn rename_vars_expr(e: &Expr, map: &std::collections::HashMap<String, String>) -> Expr {
-    map_expr(e, &mut |x| match &x.kind {
-        ExprKind::Var(n) => match map.get(n) {
-            Some(new) => Expr {
-                kind: ExprKind::Var(new.clone()),
-                span: x.span,
-            },
-            None => x,
-        },
-        ExprKind::ArrayIndex { name, indices } => match map.get(name) {
-            Some(new) => Expr {
-                kind: ExprKind::ArrayIndex {
-                    name: new.clone(),
-                    indices: indices.clone(),
-                },
-                span: x.span,
-            },
-            None => x,
-        },
-        _ => x,
-    })
-}
-
-fn rename_lvalue(lv: &LValue, map: &std::collections::HashMap<String, String>) -> LValue {
-    let rename = |n: &String| map.get(n).cloned().unwrap_or_else(|| n.clone());
-    match lv {
-        LValue::Var(n) => LValue::Var(rename(n)),
-        LValue::ArrayElem { name, indices } => LValue::ArrayElem {
-            name: rename(name),
-            indices: indices.clone(),
-        },
-        LValue::Deref(n) => LValue::Deref(rename(n)),
+        } => {
+            if let Some(st) = init {
+                rename_vars_stmt(st, map);
+            }
+            cond.iter_mut().for_each(&mut *expr);
+            if let Some(st) = step {
+                rename_vars_stmt(st, map);
+            }
+            rename_vars_block(body, map);
+        }
+        StmtKind::While { cond, body } => {
+            expr(cond);
+            rename_vars_block(body, map);
+        }
+        StmtKind::Return(e) => e.iter_mut().for_each(expr),
+        StmtKind::Block(b) => rename_vars_block(b, map),
+        StmtKind::Expr(e) => expr(e),
     }
 }
 
@@ -301,9 +292,13 @@ mod tests {
 
     #[test]
     fn subst_replaces_all_occurrences() {
-        let e = expr_of("a + a * b");
-        let replaced = subst_var(&e, "a", &Expr::int(7, Span::dummy()));
-        assert_eq!(replaced.to_c(), "(7 + (7 * b))");
+        let prog = parse("int f(int a, int b) { return a + a * b; }").unwrap();
+        let f = prog.function("f").unwrap();
+        let s = subst_var_stmt(&f.body.stmts[0], "a", &Expr::int(7, Span::dummy()));
+        match &s.kind {
+            StmtKind::Return(Some(e)) => assert_eq!(e.to_c(), "(7 + (7 * b))"),
+            _ => unreachable!(),
+        }
     }
 
     #[test]
@@ -330,9 +325,10 @@ mod tests {
     fn rename_renames_decls_and_uses() {
         let prog = parse("void f() { int x = 1; int y = x + 2; }").unwrap();
         let f = prog.function("f").unwrap();
-        let mut map = std::collections::HashMap::new();
+        let mut map = HashMap::new();
         map.insert("x".to_string(), "x_1".to_string());
-        let renamed = rename_vars_block(&f.body, &map);
+        let mut renamed = f.body.clone();
+        rename_vars_block(&mut renamed, &map);
         let text: String = renamed.stmts.iter().map(|s| format!("{s:?}")).collect();
         assert!(text.contains("x_1"));
         assert!(!text.contains("\"x\""));

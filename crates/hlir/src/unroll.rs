@@ -7,7 +7,7 @@
 //! builder; the unroll factor is normally chosen under an area budget
 //! supplied by the fast estimator (see `roccc-synth`).
 
-use crate::loops::{recognize, CanonLoop};
+use crate::loops::{take_loop, CanonLoop};
 use crate::subst::subst_var_stmt;
 use roccc_cparse::ast::*;
 
@@ -18,18 +18,16 @@ pub const FULL_UNROLL_LIMIT: u64 = 4096;
 /// innermost first). Loops that are not canonical or exceed
 /// [`FULL_UNROLL_LIMIT`] iterations are left in place.
 pub fn fully_unroll_function(f: &Function) -> Function {
-    Function {
-        body: unroll_block(&f.body, None),
-        ..f.clone()
-    }
+    let mut f = f.clone();
+    unroll_block(&mut f.body, None);
+    f
 }
 
 /// Partially unrolls every canonical loop in the function by `factor`.
 pub fn partially_unroll_function(f: &Function, factor: u64) -> Function {
-    Function {
-        body: unroll_block(&f.body, Some(factor.max(1))),
-        ..f.clone()
-    }
+    let mut f = f.clone();
+    unroll_block(&mut f.body, Some(factor.max(1)));
+    f
 }
 
 /// [`partially_unroll_function`] behind the loop-carried dependence gate:
@@ -54,69 +52,38 @@ pub fn partially_unroll_function_checked(
     Ok(partially_unroll_function(f, factor))
 }
 
-fn unroll_block(b: &Block, factor: Option<u64>) -> Block {
-    let mut stmts = Vec::new();
-    for s in &b.stmts {
-        stmts.extend(unroll_stmt(s, factor));
-    }
-    Block {
-        stmts,
-        span: b.span,
-    }
-}
-
-fn unroll_stmt(s: &Stmt, factor: Option<u64>) -> Vec<Stmt> {
-    match &s.kind {
-        StmtKind::For { .. } => {
-            if let Some(l) = recognize(s) {
-                // Unroll inner loops first so nests fully flatten.
-                let inner_unrolled = CanonLoop {
-                    body: unroll_block(&l.body, factor),
-                    ..l
-                };
-                match factor {
-                    None => fully_unroll(&inner_unrolled)
-                        .unwrap_or_else(|| vec![inner_unrolled.to_stmt()]),
-                    Some(k) => vec![partially_unroll(&inner_unrolled, k)],
+/// Unrolls the loops of `b` in place: each loop statement is replaced by
+/// its expansion, every other statement keeps its place.
+fn unroll_block(b: &mut Block, factor: Option<u64>) {
+    for mut s in std::mem::take(&mut b.stmts) {
+        let Some(mut l) = take_loop(&mut s) else {
+            match &mut s.kind {
+                StmtKind::If {
+                    then_blk, else_blk, ..
+                } => {
+                    unroll_block(then_blk, factor);
+                    if let Some(e) = else_blk {
+                        unroll_block(e, factor);
+                    }
                 }
-            } else {
-                vec![rebuild_with_unrolled_children(s, factor)]
+                StmtKind::While { body, .. }
+                | StmtKind::For { body, .. }
+                | StmtKind::Block(body) => unroll_block(body, factor),
+                _ => {}
             }
+            b.stmts.push(s);
+            continue;
+        };
+        // Unroll inner loops first so nests fully flatten.
+        unroll_block(&mut l.body, factor);
+        match factor {
+            None => match fully_unroll(&l) {
+                Some(copies) => b.stmts.extend(copies),
+                None => b.stmts.push(l.into_stmt()),
+            },
+            Some(k) => b.stmts.push(partially_unroll(&l, k)),
         }
-        _ => vec![rebuild_with_unrolled_children(s, factor)],
     }
-}
-
-fn rebuild_with_unrolled_children(s: &Stmt, factor: Option<u64>) -> Stmt {
-    let kind = match &s.kind {
-        StmtKind::If {
-            cond,
-            then_blk,
-            else_blk,
-        } => StmtKind::If {
-            cond: cond.clone(),
-            then_blk: unroll_block(then_blk, factor),
-            else_blk: else_blk.as_ref().map(|b| unroll_block(b, factor)),
-        },
-        StmtKind::While { cond, body } => StmtKind::While {
-            cond: cond.clone(),
-            body: unroll_block(body, factor),
-        },
-        StmtKind::For {
-            init,
-            cond,
-            step,
-            body,
-        } => StmtKind::For {
-            init: init.clone(),
-            cond: cond.clone(),
-            step: step.clone(),
-            body: unroll_block(body, factor),
-        },
-        StmtKind::Block(b) => StmtKind::Block(unroll_block(b, factor)),
-        other => other.clone(),
-    };
-    Stmt { kind, span: s.span }
 }
 
 /// Fully expands a canonical loop into straight-line statements, or `None`
@@ -131,14 +98,21 @@ pub fn fully_unroll(l: &CanonLoop) -> Option<Vec<Stmt>> {
     if trips > FULL_UNROLL_LIMIT {
         return None;
     }
+    Some(copies(
+        l,
+        (0..trips).map(|k| Expr::int(l.iter_value(k), l.span)),
+    ))
+}
+
+/// One substituted copy of the loop body per induction-variable value.
+fn copies(l: &CanonLoop, values: impl Iterator<Item = Expr>) -> Vec<Stmt> {
     let mut out = Vec::new();
-    for k in 0..trips {
-        let value = Expr::int(l.iter_value(k), l.span);
+    for value in values {
         for stmt in &l.body.stmts {
             out.push(subst_var_stmt(stmt, &l.var, &value));
         }
     }
-    Some(out)
+    out
 }
 
 /// Unrolls a canonical loop by `factor`: the body is duplicated `factor`
@@ -154,45 +128,38 @@ pub fn partially_unroll(l: &CanonLoop, factor: u64) -> Stmt {
     let main_trips = trips / factor * factor;
     let sp = l.span;
 
-    let mut body_stmts = Vec::new();
-    for j in 0..factor {
-        let offset = Expr {
-            kind: ExprKind::Binary {
-                op: BinOp::Add,
-                lhs: Box::new(Expr::var(l.var.clone(), sp)),
-                rhs: Box::new(Expr::int(l.step * j as i64, sp)),
-            },
-            span: sp,
-        };
-        for stmt in &l.body.stmts {
-            body_stmts.push(subst_var_stmt(stmt, &l.var, &offset));
-        }
-    }
-
+    let offsets = (0..factor).map(|j| Expr {
+        kind: ExprKind::Binary {
+            op: BinOp::Add,
+            lhs: Box::new(Expr::var(l.var.clone(), sp)),
+            rhs: Box::new(Expr::int(l.step * j as i64, sp)),
+        },
+        span: sp,
+    });
     let main_loop = CanonLoop {
+        var: l.var.clone(),
+        decl_ty: l.decl_ty.clone(),
+        start: l.start,
         bound: l.start + main_trips as i64 * l.step,
         cmp: BinOp::Lt,
         step: l.step * factor as i64,
         body: Block {
-            stmts: body_stmts,
+            stmts: copies(l, offsets),
             span: l.body.span,
         },
-        decl_ty: l.decl_ty.clone(),
-        ..l.clone()
+        span: sp,
     }
-    .to_stmt();
+    .into_stmt();
 
     if main_trips == trips {
         main_loop
     } else {
         // Remainder iterations as straight-line code.
         let mut stmts = vec![main_loop];
-        for k in main_trips..trips {
-            let value = Expr::int(l.iter_value(k), sp);
-            for stmt in &l.body.stmts {
-                stmts.push(subst_var_stmt(stmt, &l.var, &value));
-            }
-        }
+        stmts.extend(copies(
+            l,
+            (main_trips..trips).map(|k| Expr::int(l.iter_value(k), sp)),
+        ));
         Stmt {
             kind: StmtKind::Block(Block { stmts, span: sp }),
             span: sp,

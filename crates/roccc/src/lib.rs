@@ -31,7 +31,7 @@
 
 #![warn(missing_docs)]
 
-use roccc_cparse::ast::{Function, Item, Program};
+use roccc_cparse::ast::{Item, Program};
 use roccc_cparse::error::CError;
 use roccc_datapath::{
     build_datapath_ranged, narrow_widths, pipeline_datapath, Datapath, DefaultDelayModel,
@@ -675,7 +675,7 @@ pub fn compile_with_model_timed(
 
     // Loop-level transformations requested by the options.
     let t0 = Instant::now();
-    program = transform_program(&program, func, opts)?;
+    transform_program(&mut program, func, opts)?;
 
     // Scalar replacement + feedback detection.
     let kernel = extract_kernel(&program, func)?;
@@ -902,28 +902,37 @@ pub fn verify_compiled(c: &Compiled) -> Vec<Diagnostic> {
     v
 }
 
-/// Applies the option-selected loop transformations to `func` only.
+/// Applies the option-selected loop transformations (fusion, strip-mining,
+/// unrolling) to `func` only, in place; each transform's result is folded
+/// in place. This is the loop-level half of [`compile`]'s HLIR stage;
+/// [`extract_kernel`] is the other half.
+///
 /// Body-duplicating transforms run behind the `hlir::deps` legality gate
 /// and refuse (`L010`/`L011` diagnostics) when a loop-carried dependence
 /// at distance below the factor would make the duplicated bodies touch
 /// the same array element within one parallel iteration.
-fn transform_program(
-    program: &Program,
+///
+/// # Errors
+///
+/// The `L010`/`L011` refusals, as [`CompileError::Front`].
+pub fn transform_program(
+    program: &mut Program,
     func: &str,
     opts: &CompileOptions,
-) -> Result<Program, CompileError> {
-    let map_fn = |f: &Function| -> Result<Function, CompileError> {
+) -> Result<(), CompileError> {
+    use roccc_hlir::fold::fold_block_mut;
+    for item in &mut program.items {
+        let Item::Function(f) = item else { continue };
         if f.name != func {
-            return Ok(f.clone());
+            continue;
         }
-        let mut f = f.clone();
         if opts.fuse {
-            f = roccc_hlir::fusion::fuse_function(&f);
+            *f = roccc_hlir::fusion::fuse_function(f);
         }
         if let Some(w) = opts.stripmine {
             if w >= 2 {
-                f = roccc_hlir::stripmine::stripmine_unroll_function_checked(&f, w)?;
-                f = roccc_hlir::fold::fold_function(&f);
+                *f = roccc_hlir::stripmine::stripmine_unroll_function_checked(f, w)?;
+                fold_block_mut(&mut f.body);
             }
         }
         match opts.unroll {
@@ -931,24 +940,16 @@ fn transform_program(
             UnrollStrategy::Full => {
                 // Full unrolling preserves sequential straight-line
                 // semantics, so it needs no dependence gate.
-                f = roccc_hlir::unroll::fully_unroll_function(&f);
-                f = roccc_hlir::fold::fold_function(&f);
+                *f = roccc_hlir::unroll::fully_unroll_function(f);
+                fold_block_mut(&mut f.body);
             }
             UnrollStrategy::Partial(k) => {
-                f = roccc_hlir::unroll::partially_unroll_function_checked(&f, k)?;
-                f = roccc_hlir::fold::fold_function(&f);
+                *f = roccc_hlir::unroll::partially_unroll_function_checked(f, k)?;
+                fold_block_mut(&mut f.body);
             }
         }
-        Ok(f)
-    };
-    let mut items = Vec::with_capacity(program.items.len());
-    for i in &program.items {
-        items.push(match i {
-            Item::Function(f) => Item::Function(map_fn(f)?),
-            g => g.clone(),
-        });
     }
-    Ok(Program { items })
+    Ok(())
 }
 
 /// Profiles a program by running `driver` in the golden-model interpreter

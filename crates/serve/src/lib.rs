@@ -10,7 +10,8 @@
 //! * **content-addressed artifact cache** — a 64-bit FNV-1a hash over
 //!   `(source, function, canonical CompileOptions)` keys a sharded
 //!   in-memory LRU of `Arc`-shared compiles, with an optional
-//!   write-through on-disk artifact store ([`cache`], [`hash`]);
+//!   write-through on-disk artifact store ([`cache`], keyed by
+//!   [`roccc::hash::cache_key`]);
 //! * **robustness** — a bounded admission queue replies `busy` under
 //!   overload, a watchdog thread enforces a per-request wall-clock
 //!   budget, `catch_unwind` isolates compiler panics, and identical
@@ -38,11 +39,9 @@
 #![warn(missing_docs)]
 
 pub mod cache;
-pub mod hash;
 pub mod metrics;
 pub mod server;
 
 pub use cache::{CacheEntry, DiskStore, ShardedLru};
-pub use hash::{cache_key, Fnv64};
 pub use metrics::{scrape_counter, Metrics};
 pub use server::{start, CompileFn, ServerConfig, ServerHandle};

@@ -20,8 +20,8 @@
 //!   take a worker down.
 
 use crate::cache::{CacheEntry, DiskStore, ShardedLru};
-use crate::hash::cache_key;
 use crate::metrics::Metrics;
+use roccc::hash::cache_key;
 use roccc::proto::{self, Request, Response};
 use roccc::{CompileError, CompileOptions, Compiled, PhaseTimings};
 use std::collections::{HashSet, VecDeque};

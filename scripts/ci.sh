@@ -150,6 +150,16 @@ grep -q 'M001-malformed-schedule' "${sched_log}" \
 cargo run --release --example schedule_smoke >/dev/null
 rm -f "${sched_src}" "${sched_log}"
 
+echo "==> hlir scaling gate (per-statement transform + extract cost, u8·s8 vs u1)"
+# The bound is a ratio, never absolute time: ten runs measured 1.01-1.47,
+# so 2.5 is about 1.7x the highest (see CHANGES.md). A pass whose cost
+# grows faster than the statements it emits (one quadratic in the unrolled
+# body, say) pushes the large configuration's per-statement cost far above
+# the small one's.
+hlir_ratio="$(cargo run --release --example hlir_scaling | sed -n 's/^ratio: //p')"
+awk "BEGIN { exit !(${hlir_ratio:-99} <= 2.5) }" \
+  || { echo "hlir scaling gate: ratio ${hlir_ratio} exceeds 2.5" >&2; exit 1; }
+
 echo "==> diagnostic registry drift (source codes vs DESIGN.md)"
 # Every diagnostic code the source can emit must have a DESIGN.md registry
 # mention, and every code DESIGN.md mentions must still exist in source —

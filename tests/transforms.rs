@@ -201,3 +201,71 @@ fn strided_scan_kernel_runs() {
         .unwrap();
     assert_eq!(run.arrays["B"], golden["B"]);
 }
+
+/// Compile fingerprint of one design-space candidate: the error text, or
+/// the FNV-1a of the netlist's `Debug` rendering and of the VHDL.
+fn sweep_fingerprint(src: &str, func: &str, opts: &CompileOptions) -> String {
+    use roccc_suite::roccc::hash::Fnv64;
+    let fnv = |text: &str| {
+        let mut h = Fnv64::new();
+        h.write(text.as_bytes());
+        h.finish()
+    };
+    match compile(src, func, opts) {
+        Ok(hw) => format!(
+            "ok netlist={:016x} vhdl={:016x}",
+            fnv(&format!("{:?}", hw.netlist)),
+            fnv(&hw.to_vhdl())
+        ),
+        Err(e) => format!("err {}", e.to_string().replace('\n', "\\n")),
+    }
+}
+
+/// Locks the HLIR transforms to their recorded behaviour over the whole
+/// design-space sweep: fir, dct and wavelet × unroll {1,2,3,4,6,8} ×
+/// strip {0,2,4,8}, every candidate's netlist and VHDL hash or error text
+/// against `tests/fixtures/sweep_fingerprints.txt`. A deliberate change
+/// to the compiler's output updates the differing lines the failure
+/// prints.
+#[test]
+fn sweep_fingerprints_unchanged() {
+    let rows = roccc_suite::ipcores::benchmarks();
+    let mut actual = Vec::new();
+    for name in ["fir", "dct", "wavelet"] {
+        let b = rows.iter().find(|b| b.name == name).unwrap();
+        for factor in [1u64, 2, 3, 4, 6, 8] {
+            for strip in [0u64, 2, 4, 8] {
+                let opts = CompileOptions {
+                    unroll: if factor == 1 {
+                        UnrollStrategy::Keep
+                    } else {
+                        UnrollStrategy::Partial(factor)
+                    },
+                    stripmine: (strip >= 2).then_some(strip),
+                    ..CompileOptions::default()
+                };
+                let fp = sweep_fingerprint(&b.source, b.func, &opts);
+                actual.push(format!("{name} u{factor} s{strip} {fp}"));
+            }
+        }
+    }
+    let fixture = include_str!("fixtures/sweep_fingerprints.txt");
+    let expected: Vec<&str> = fixture.lines().collect();
+    let diff: Vec<String> = (0..expected.len().max(actual.len()))
+        .filter(|&i| expected.get(i).copied() != actual.get(i).map(String::as_str))
+        .map(|i| {
+            format!(
+                "- {}\n+ {}",
+                expected.get(i).copied().unwrap_or("<none>"),
+                actual.get(i).map(String::as_str).unwrap_or("<none>")
+            )
+        })
+        .collect();
+    assert!(
+        diff.is_empty(),
+        "{} of {} sweep fingerprints differ:\n{}",
+        diff.len(),
+        actual.len(),
+        diff.join("\n")
+    );
+}
