@@ -1,5 +1,6 @@
 //! Simulation-throughput micro-bench: reference interpreter vs. compiled
-//! engine, cycles per second, on the paper's pipelined kernels.
+//! engine, cycles per second, on the paper's pipelined kernels, plus
+//! whole-system runs of the Table 1 loop kernels.
 //!
 //! ```text
 //! cargo run --release -p roccc-bench --bin bench_sim -- [--cycles N] [--runs R] [--out PATH]
@@ -11,11 +12,19 @@
 //! engine), and the median-of-runs cycles/sec plus the compiled-engine
 //! speedup are written to `BENCH_sim.json` so the perf trajectory is
 //! tracked PR over PR.
+//!
+//! The `system` row per kernel times whole-system runs of the Table 1
+//! loop kernel (BRAM → address generator → smart buffer → `CompiledSim`,
+//! the paper's Figure 2) over seeded frames, and reports its cycles/sec
+//! and, as its `speedup`, the ratio to the bare `CompiledSim` stepping
+//! the same netlist over the same number of cycles: the share of the
+//! data path's own rate that survives the memory and buffer layer.
 
 use roccc::{CompileOptions, CompiledSim, NetlistSim};
 use roccc_bench::{bench_result, render_bench_json, time_median, BenchResult};
 use roccc_netlist::SimPlan;
 use roccc_testutil::XorShift64;
+use std::collections::HashMap;
 use std::hint::black_box;
 
 struct Config {
@@ -178,6 +187,22 @@ fn main() {
         results.push(batched);
     }
 
+    println!(
+        "\n{:<10} {:>16} {:>16} {:>15}",
+        "kernel", "system c/s", "compiled c/s", "system/compiled"
+    );
+    for name in ["fir", "dct", "wavelet"] {
+        let system = bench_system(name, &cfg);
+        println!(
+            "{:<10} {:>16.0} {:>16.0} {:>15.3}",
+            name,
+            system.cycles_per_sec,
+            system.cycles_per_sec / system.speedup,
+            system.speedup
+        );
+        results.push(system);
+    }
+
     // Cross-check the engines agree on a short differential stream before
     // publishing numbers (belt and braces; the test suite covers this
     // exhaustively).
@@ -197,6 +222,70 @@ fn main() {
             "WARNING: compiled FIR speedup {fir_speedup:.2}x is below the 3x acceptance target"
         );
     }
+}
+
+/// Whole-system runs of Table 1 kernel `name` over seeded frames, at
+/// least `cfg.cycles` simulated cycles per timed run; `speedup` is the
+/// ratio to the bare `CompiledSim` on the same netlist and cycle count.
+fn bench_system(name: &str, cfg: &Config) -> BenchResult {
+    let b = roccc_ipcores::benchmarks()
+        .into_iter()
+        .find(|b| b.name == name)
+        .expect("Table 1 row");
+    let hw = roccc_ipcores::table::compile_benchmark(&b).expect("Table 1 kernel compiles");
+    let mut rng = XorShift64::new(0x5b5 + cfg.cycles);
+    let frames: Vec<HashMap<String, Vec<i64>>> = (0..4)
+        .map(|_| {
+            hw.kernel
+                .windows
+                .iter()
+                .map(|w| {
+                    let n: usize = w.dims.iter().product();
+                    let data = (0..n).map(|_| rng.sample_int(w.elem)).collect();
+                    (w.array.clone(), data)
+                })
+                .collect()
+        })
+        .collect();
+    let no_scalars = HashMap::new();
+    let frame_cycles = hw.run(&frames[0], &no_scalars).expect("system run").cycles;
+    let runs_per_sample = cfg.cycles.div_ceil(frame_cycles).max(1);
+    let cycles = runs_per_sample * frame_cycles;
+    let sys_secs = time_median(cfg.runs, || {
+        (0..runs_per_sample as usize)
+            .map(|i| {
+                let run = hw
+                    .run(&frames[i % frames.len()], &no_scalars)
+                    .expect("system run");
+                assert_eq!(run.cycles, frame_cycles, "frame length depends on the data");
+                black_box(run.mem_writes)
+            })
+            .sum()
+    });
+
+    let plan = SimPlan::compile(&hw.netlist).expect("plan compiles");
+    let args: Vec<i64> = (0..cycles)
+        .flat_map(|_| {
+            let r = &mut rng;
+            hw.netlist
+                .inputs
+                .iter()
+                .map(|(_, t)| r.sample_int(*t))
+                .collect::<Vec<i64>>()
+        })
+        .collect();
+    let mut out = Vec::new();
+    let comp_secs = time_median(cfg.runs, || {
+        out.clear();
+        let rows = CompiledSim::new(&plan)
+            .run_batch(&args, cycles as usize, &mut out)
+            .expect("compiled run");
+        black_box(rows as u64)
+    });
+
+    let mut system = bench_result(name, "system", cycles, sys_secs);
+    system.speedup = comp_secs / sys_secs;
+    system
 }
 
 fn verify_engines_agree() {

@@ -46,7 +46,7 @@ pub fn ratio(a: f64, b: f64) -> f64 {
 pub struct BenchResult {
     /// Kernel name (`fir`, `dct`, `wavelet`, …).
     pub kernel: String,
-    /// Engine name (`reference` or `compiled`).
+    /// Engine name (`reference`, `compiled`, `batched` or `system`).
     pub engine: String,
     /// Clock cycles simulated per timed run.
     pub cycles: u64,
@@ -54,8 +54,9 @@ pub struct BenchResult {
     pub seconds: f64,
     /// Simulated cycles per wall-clock second.
     pub cycles_per_sec: f64,
-    /// Speedup over the reference engine on the same kernel
-    /// (1.0 for the reference itself).
+    /// Rate relative to the row's base engine on the same kernel: the
+    /// reference engine for `compiled` (1.0 for the reference itself), the
+    /// compiled engine for `batched` and `system`.
     pub speedup: f64,
 }
 

@@ -122,6 +122,9 @@ pub struct AddressGen2d {
     pub cols: DimScan,
     /// Row width of the underlying array (flat row-major layout).
     pub row_width: usize,
+    /// Last row and column any window touches.
+    row_last: i64,
+    col_last: i64,
     cur_row: i64,
     cur_col: i64,
     done: bool,
@@ -134,6 +137,8 @@ impl AddressGen2d {
         AddressGen2d {
             cur_row: rows.start,
             cur_col: cols.start,
+            row_last: rows.last_touched(),
+            col_last: cols.last_touched(),
             rows,
             cols,
             row_width,
@@ -158,10 +163,10 @@ impl Iterator for AddressGen2d {
         }
         let addr = self.cur_row * self.row_width as i64 + self.cur_col;
         self.cur_col += 1;
-        if self.cur_col > self.cols.last_touched() {
+        if self.cur_col > self.col_last {
             self.cur_col = self.cols.start;
             self.cur_row += 1;
-            if self.cur_row > self.rows.last_touched() {
+            if self.cur_row > self.row_last {
                 self.done = true;
             }
         }
@@ -179,22 +184,25 @@ pub struct OutputAddressGen {
     /// Row width for 2-D layouts (1-D uses 1 dim and ignores this).
     row_width: usize,
     idx: u64,
+    total: u64,
 }
 
 impl OutputAddressGen {
     /// Creates a generator over the given dimensions (outermost first).
     pub fn new(dims: Vec<DimScan>, offset: i64, row_width: usize) -> Self {
+        let total = dims.iter().map(|d| d.positions()).product();
         OutputAddressGen {
             dims,
             offset,
             row_width,
             idx: 0,
+            total,
         }
     }
 
     /// Total stores.
     pub fn total(&self) -> u64 {
-        self.dims.iter().map(|d| d.positions()).product()
+        self.total
     }
 }
 
@@ -202,25 +210,19 @@ impl Iterator for OutputAddressGen {
     type Item = i64;
 
     fn next(&mut self) -> Option<i64> {
-        if self.idx >= self.total() {
+        if self.idx >= self.total {
             return None;
         }
-        let mut rem = self.idx;
-        let mut coords = Vec::with_capacity(self.dims.len());
+        // Mixed-radix decode of the iteration index, innermost dimension
+        // first; coordinates fold row-major with `row_width` per level.
+        let (mut rem, mut flat, mut weight) = (self.idx, 0i64, 1i64);
         for d in self.dims.iter().rev() {
             let n = d.positions();
-            coords.push(d.start + (rem % n) as i64 * d.step);
+            flat += (d.start + (rem % n) as i64 * d.step) * weight;
             rem /= n;
+            weight *= self.row_width as i64;
         }
-        coords.reverse();
         self.idx += 1;
-        let flat = match coords.as_slice() {
-            [i] => *i,
-            [i, j] => i * self.row_width as i64 + j,
-            _ => coords
-                .iter()
-                .fold(0, |acc, c| acc * self.row_width as i64 + c),
-        };
         Some(flat + self.offset)
     }
 }

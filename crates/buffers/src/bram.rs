@@ -62,8 +62,8 @@ impl BramModel {
 
     /// Clocks the read port, returning everything issued last cycle (wide
     /// bus: all words of a beat arrive together).
-    pub fn clock_all(&mut self) -> Vec<(usize, i64)> {
-        self.pending.drain(..).collect()
+    pub fn clock_all(&mut self) -> std::collections::vec_deque::Drain<'_, (usize, i64)> {
+        self.pending.drain(..)
     }
 
     /// Synchronous write (visible to reads issued after this call).

@@ -1,11 +1,13 @@
-//! # roccc-buffers — smart buffers, address generators, controllers
+//! # roccc-buffers — smart buffers, address generators, window feeds
 //!
 //! The I/O side of the paper's execution model (§4.1, Figure 2): data
 //! streams from a BRAM through a **smart buffer** that exploits
 //! sliding-window reuse ("two adjacent windows have four input data in
 //! common and only one new input data per window"), driven by
-//! **address generators** and a **higher-level controller**, all
-//! parameterized FSMs.
+//! **address generators**, all parameterized FSMs. A [`WindowFeed`]
+//! bundles one input window's generator, buffer and port map as the
+//! system simulators use it; the higher-level controller that fires the
+//! data path lives in those simulators' cycle loops.
 //!
 //! ```
 //! use roccc_buffers::addr::{AddressGen1d, DimScan};
@@ -27,10 +29,10 @@
 
 pub mod addr;
 pub mod bram;
-pub mod ctrl;
+pub mod feed;
 pub mod smart;
 
 pub use addr::{AddressGen1d, AddressGen2d, DimScan, OutputAddressGen};
 pub use bram::BramModel;
-pub use ctrl::{CtrlOutputs, CtrlState, LoopController, ValidChain};
+pub use feed::{store_addrs, WindowFeed};
 pub use smart::{BufferStats, SmartBuffer1d, SmartBuffer2d};

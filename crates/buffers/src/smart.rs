@@ -41,7 +41,8 @@ impl BufferStats {
 pub struct SmartBuffer1d {
     window: usize,
     stride: usize,
-    /// Live elements: front is the lowest retained index.
+    /// Live elements in increasing index order: front is the lowest
+    /// retained index.
     buf: VecDeque<(i64, i64)>,
     /// Index of the next window's first element.
     next_start: i64,
@@ -88,30 +89,37 @@ impl SmartBuffer1d {
     /// Exports the next window if all of its elements are present, sliding
     /// forward by the stride and retiring dead elements.
     pub fn pop_window(&mut self) -> Option<Vec<i64>> {
-        // Retire elements below the window start.
-        while let Some(&(i, _)) = self.buf.front() {
-            if i < self.next_start {
-                self.buf.pop_front();
-            } else {
-                break;
-            }
-        }
-        let end = self.next_start + self.window as i64;
-        // All of [next_start, end) present? Elements arrive in order, so it
-        // suffices that the back reaches end−1 and the front is ≤ start.
-        let have_last = self.buf.iter().any(|&(i, _)| i == end - 1);
-        if !have_last {
-            return None;
-        }
         let mut out = Vec::with_capacity(self.window);
-        for k in 0..self.window as i64 {
-            let idx = self.next_start + k;
-            let v = self.buf.iter().find(|&&(i, _)| i == idx).map(|&(_, v)| v)?;
-            out.push(v);
+        self.pop_window_into(&mut out).then_some(out)
+    }
+
+    /// [`SmartBuffer1d::pop_window`] into a caller-owned buffer: on success
+    /// `out` holds exactly the window and `true` is returned; otherwise
+    /// `out` is untouched and nothing advances.
+    pub fn pop_window_into(&mut self, out: &mut Vec<i64>) -> bool {
+        while self.buf.front().is_some_and(|&(i, _)| i < self.next_start) {
+            self.buf.pop_front();
         }
+        // Indices arrive in increasing order, so the window is complete
+        // exactly when the back has reached its last element and the
+        // first `window` live elements are consecutive from the start.
+        let last = self.next_start + self.window as i64 - 1;
+        if self.buf.len() < self.window || self.buf.back().is_none_or(|&(i, _)| i < last) {
+            return false;
+        }
+        let live = self.buf.iter().take(self.window);
+        if live
+            .clone()
+            .zip(self.next_start..)
+            .any(|(&(i, _), want)| i != want)
+        {
+            return false;
+        }
+        out.clear();
+        out.extend(live.map(|&(_, v)| v));
         self.next_start += self.stride as i64;
         self.stats.windows += 1;
-        Some(out)
+        true
     }
 
     /// Reuse statistics so far.
@@ -121,28 +129,44 @@ impl SmartBuffer1d {
 }
 
 /// 2-D sliding-window smart buffer (line buffer).
+///
+/// Words live in a ring of row lines, each covering the scanned column
+/// range `[col_start, col_last]`; row `r` occupies line `r mod lines`.
+/// Every word carries the row it was written for as its presence tag, so
+/// a line never needs clearing: a lookup of `(r, c)` hits exactly when the
+/// word's tag is `r`. Rows below the next window position are dead and
+/// their lines are reused as the scan moves down; the ring only grows when
+/// the stream runs more rows ahead of the window than it has lines (an
+/// initiation interval above one lets memory outpace firing).
 #[derive(Debug, Clone)]
 pub struct SmartBuffer2d {
     win_rows: usize,
     win_cols: usize,
     stride_r: usize,
     stride_c: usize,
-    /// Column range scanned: [col_start, col_last] inclusive.
+    /// Column range any window touches: [col_start, col_last] inclusive.
     col_start: i64,
     col_last: i64,
+    /// Last row any window touches.
+    row_last: i64,
     row_width: usize,
-    /// Retained elements keyed by (row, col); bounded by the line-buffer
-    /// capacity in steady state.
-    store: std::collections::HashMap<(i64, i64), i64>,
+    /// Words per line (`col_last − col_start + 1`) and lines in the ring.
+    line_len: usize,
+    lines: usize,
+    /// The ring, row-major: presence tags and values.
+    tags: Vec<i64>,
+    vals: Vec<i64>,
     /// Next window position (top-left corner).
     next_r: i64,
     next_c: i64,
     /// Window-position bounds.
     row_bound: i64,
     col_bound: i64,
-    row_start: i64,
     stats: BufferStats,
 }
+
+/// Presence tag of a word that was never written.
+const ABSENT: i64 = i64::MIN;
 
 impl SmartBuffer2d {
     /// Creates a line buffer for `win_rows × win_cols` windows sliding by
@@ -162,20 +186,28 @@ impl SmartBuffer2d {
         row_width: usize,
     ) -> Self {
         assert!(win_rows > 0 && win_cols > 0 && stride_r > 0 && stride_c > 0);
+        let col_last = (col_bound - 1 + win_cols as i64 - 1).max(col_start);
+        let line_len = (col_last - col_start + 1) as usize;
+        // Enough lines for the window plus the rows streaming in behind it
+        // while the window slides across one band.
+        let lines = win_rows + stride_r;
         SmartBuffer2d {
             win_rows,
             win_cols,
             stride_r,
             stride_c,
             col_start,
-            col_last: col_bound - 1 + win_cols as i64 - 1,
+            col_last,
+            row_last: row_bound - 1 + win_rows as i64 - 1,
             row_width,
-            store: std::collections::HashMap::new(),
+            line_len,
+            lines,
+            tags: vec![ABSENT; lines * line_len],
+            vals: vec![0; lines * line_len],
             next_r: row_start,
             next_c: col_start,
             row_bound,
             col_bound,
-            row_start,
             stats: BufferStats::default(),
         }
     }
@@ -186,6 +218,11 @@ impl SmartBuffer2d {
         (self.win_rows - 1) * self.row_width + self.win_rows * self.win_cols
     }
 
+    /// Offset of word `(row, col)`'s slot in the ring.
+    fn slot(&self, row: i64, col: i64) -> usize {
+        row.rem_euclid(self.lines as i64) as usize * self.line_len + (col - self.col_start) as usize
+    }
+
     /// Accepts one word (flat row-major address).
     pub fn push_flat(&mut self, flat: i64, value: i64) {
         let r = flat / self.row_width as i64;
@@ -193,30 +230,62 @@ impl SmartBuffer2d {
         self.push(r, c, value);
     }
 
-    /// Accepts one word by coordinates. Data must stream row-major.
+    /// Accepts one word by coordinates. Data must stream row-major; words
+    /// no future window touches are counted and dropped ("clean unused
+    /// data").
     pub fn push(&mut self, row: i64, col: i64, value: i64) {
         self.stats.fetched += 1;
-        self.store.insert((row, col), value);
-        // Clean rows that no future window touches.
-        let dead_before = self.next_r;
-        self.store.retain(|&(r, _), _| r >= dead_before);
+        if row < self.next_r || row > self.row_last || col < self.col_start || col > self.col_last {
+            return;
+        }
+        let ahead = (row - self.next_r) as usize;
+        if ahead >= self.lines {
+            self.grow(ahead + 1);
+        }
+        let k = self.slot(row, col);
+        self.tags[k] = row;
+        self.vals[k] = value;
+    }
+
+    /// Re-lays the live rows into a ring of at least `min_lines` lines.
+    fn grow(&mut self, min_lines: usize) {
+        let line_len = self.line_len;
+        self.lines = (2 * self.lines).max(min_lines);
+        let tags = std::mem::replace(&mut self.tags, vec![ABSENT; self.lines * line_len]);
+        let vals = std::mem::replace(&mut self.vals, vec![0; self.lines * line_len]);
+        for (k, (&row, &v)) in tags.iter().zip(&vals).enumerate() {
+            if row >= self.next_r {
+                let n = self.slot(row, self.col_start + (k % line_len) as i64);
+                self.tags[n] = row;
+                self.vals[n] = v;
+            }
+        }
     }
 
     /// Exports the next window (row-major within the window) if complete.
     pub fn pop_window(&mut self) -> Option<Vec<i64>> {
-        if self.next_r >= self.row_bound {
-            return None;
-        }
-        // Completeness: the bottom-right element has arrived, and streaming
-        // order guarantees the rest — but verify all to be safe.
         let mut out = Vec::with_capacity(self.win_rows * self.win_cols);
-        for dr in 0..self.win_rows as i64 {
-            for dc in 0..self.win_cols as i64 {
-                match self.store.get(&(self.next_r + dr, self.next_c + dc)) {
-                    Some(&v) => out.push(v),
-                    None => return None,
-                }
-            }
+        self.pop_window_into(&mut out).then_some(out)
+    }
+
+    /// [`SmartBuffer2d::pop_window`] into a caller-owned buffer: on success
+    /// `out` holds exactly the window and `true` is returned; otherwise
+    /// nothing advances.
+    pub fn pop_window_into(&mut self, out: &mut Vec<i64>) -> bool {
+        if self.next_r >= self.row_bound || self.next_c >= self.col_bound {
+            return false;
+        }
+        // Data streams row-major, so the window is complete exactly when
+        // its bottom-right word has arrived.
+        let bottom = self.next_r + self.win_rows as i64 - 1;
+        if self.tags[self.slot(bottom, self.next_c + self.win_cols as i64 - 1)] != bottom {
+            return false;
+        }
+        out.clear();
+        for row in self.next_r..=bottom {
+            let k = self.slot(row, self.next_c);
+            debug_assert!(self.tags[k..k + self.win_cols].iter().all(|&t| t == row));
+            out.extend_from_slice(&self.vals[k..k + self.win_cols]);
         }
         // Advance column-major-within-row scan of window positions.
         self.next_c += self.stride_c as i64;
@@ -225,8 +294,7 @@ impl SmartBuffer2d {
             self.next_r += self.stride_r as i64;
         }
         self.stats.windows += 1;
-        let _ = (self.col_last, self.row_start);
-        Some(out)
+        true
     }
 
     /// Reuse statistics so far.

@@ -14,10 +14,10 @@
 use crate::cells::Netlist;
 use crate::plan::{CompiledSim, SimPlan};
 use crate::sim::SimError;
-use roccc_buffers::addr::{AddressGen1d, AddressGen2d, DimScan, OutputAddressGen};
+use roccc_buffers::addr::OutputAddressGen;
 use roccc_buffers::bram::BramModel;
-use roccc_buffers::smart::{SmartBuffer1d, SmartBuffer2d};
-use roccc_hlir::kernel::{Kernel, WindowSpec};
+use roccc_buffers::feed::{store_addrs, WindowFeed};
+use roccc_hlir::kernel::Kernel;
 use std::collections::HashMap;
 
 /// Result of a full system run.
@@ -65,19 +65,9 @@ impl From<SimError> for SystemError {
     }
 }
 
-enum AnyBuffer {
-    One(SmartBuffer1d),
-    Two(SmartBuffer2d),
-}
-
 struct InputLane {
     bram: BramModel,
-    addrs: Box<dyn Iterator<Item = i64>>,
-    buffer: AnyBuffer,
-    /// Map from window position (row-major within the window) to input
-    /// port index — windows may be sparse.
-    port_map: Vec<(usize, usize)>, // (window slot, dp input port)
-    staged: Option<Vec<i64>>,
+    feed: WindowFeed,
 }
 
 struct OutputLane {
@@ -154,7 +144,10 @@ pub fn run_system_with_options(
         let data = arrays
             .get(&w.array)
             .ok_or_else(|| SystemError(format!("missing input array `{}`", w.array)))?;
-        lanes.push(build_lane(kernel, w, data, &port_index)?);
+        lanes.push(InputLane {
+            bram: BramModel::new(data.to_vec()),
+            feed: WindowFeed::new(kernel, w, &port_index).map_err(SystemError)?,
+        });
     }
 
     // ----- scalar live-ins --------------------------------------------------
@@ -175,26 +168,7 @@ pub fn run_system_with_options(
                 .iter()
                 .position(|(n, _)| n == &wr.scalar)
                 .ok_or_else(|| SystemError(format!("no output port for `{}`", wr.scalar)))?;
-            let mut dims = Vec::new();
-            for (d, ai) in wr.index.iter().enumerate() {
-                let var = ai.var.as_ref().ok_or_else(|| {
-                    SystemError("constant store indices are not supported".into())
-                })?;
-                let ld = kernel
-                    .dims
-                    .iter()
-                    .find(|l| &l.var == var)
-                    .ok_or_else(|| SystemError(format!("store index var `{var}` unknown")))?;
-                dims.push(DimScan {
-                    start: ld.start + ai.offset,
-                    bound: ld.bound + ai.offset,
-                    step: ld.step,
-                    extent: 1,
-                });
-                let _ = d;
-            }
-            let row_width = if o.dims.len() == 2 { o.dims[1] } else { 1 };
-            let gen = OutputAddressGen::new(dims, 0, row_width);
+            let gen = store_addrs(kernel, o, wr).map_err(SystemError)?;
             let total = gen.total();
             let size: usize = o.dims.iter().product();
             out_lanes.push(OutputLane {
@@ -240,17 +214,9 @@ pub fn run_system_with_options(
         //    whole bus beat arrives together).
         for lane in &mut lanes {
             for (addr, v) in lane.bram.clock_all() {
-                match &mut lane.buffer {
-                    AnyBuffer::One(sb) => sb.push(addr as i64, v),
-                    AnyBuffer::Two(sb) => sb.push_flat(addr as i64, v),
-                }
+                lane.feed.push(addr as i64, v);
             }
-            if lane.staged.is_none() {
-                lane.staged = match &mut lane.buffer {
-                    AnyBuffer::One(sb) => sb.pop_window(),
-                    AnyBuffer::Two(sb) => sb.pop_window(),
-                };
-            }
+            lane.feed.stage();
         }
 
         // 2. Fire when every lane has a window and the cycle lands on the
@@ -258,15 +224,12 @@ pub fn run_system_with_options(
         //    `cycles - 1` times at this point).
         let all_ready = fired < total_iters
             && !lanes.is_empty()
-            && lanes.iter().all(|l| l.staged.is_some())
+            && lanes.iter().all(|l| l.feed.is_staged())
             && (cycles - 1).is_multiple_of(ii);
         args_buf.fill(0);
         let valid = if all_ready {
             for lane in &mut lanes {
-                let win = lane.staged.take().expect("all_ready");
-                for (slot, port) in &lane.port_map {
-                    args_buf[*port] = win[*slot];
-                }
+                lane.feed.fire(&mut args_buf);
             }
             for (port, v) in &const_inputs {
                 args_buf[*port] = *v;
@@ -297,7 +260,7 @@ pub fn run_system_with_options(
         // 5. Issue next input reads (one beat of `bus_elems` words).
         for lane in &mut lanes {
             for _ in 0..options.bus_elems.max(1) {
-                match lane.addrs.next() {
+                match lane.feed.next_addr() {
                     Some(a) => lane.bram.issue_read(a as usize),
                     None => break,
                 }
@@ -341,96 +304,4 @@ pub fn run_system_with_options(
         }
     }
     Ok(result)
-}
-
-fn build_lane(
-    kernel: &Kernel,
-    w: &WindowSpec,
-    data: &[i64],
-    port_index: &HashMap<&str, usize>,
-) -> Result<InputLane, SystemError> {
-    let ndim = w
-        .reads
-        .first()
-        .map(|r| r.index.len())
-        .ok_or_else(|| SystemError(format!("window `{}` has no reads", w.array)))?;
-    let extent = w.extent();
-
-    // Loop dimension for each window dimension.
-    let mut scans = Vec::new();
-    let mut min_off = Vec::new();
-    for (d, ext) in extent.iter().enumerate().take(ndim) {
-        let var = w.reads[0].index[d]
-            .var
-            .clone()
-            .ok_or_else(|| SystemError("constant window dimensions unsupported".into()))?;
-        let ld = kernel
-            .dims
-            .iter()
-            .find(|l| l.var == var)
-            .ok_or_else(|| SystemError(format!("window index var `{var}` unknown")))?;
-        let mo = w.reads.iter().map(|r| r.index[d].offset).min().unwrap_or(0);
-        min_off.push(mo);
-        scans.push(DimScan {
-            start: ld.start + mo,
-            bound: ld.bound + mo,
-            step: ld.step,
-            extent: *ext,
-        });
-    }
-
-    // Port map: window slot (row-major in the extent box) → dp port.
-    let mut port_map = Vec::new();
-    for r in &w.reads {
-        let slot = match ndim {
-            1 => (r.index[0].offset - min_off[0]) as usize,
-            2 => {
-                let dr = (r.index[0].offset - min_off[0]) as usize;
-                let dc = (r.index[1].offset - min_off[1]) as usize;
-                dr * extent[1] + dc
-            }
-            n => return Err(SystemError(format!("{n}-dimensional windows unsupported"))),
-        };
-        let port = *port_index
-            .get(r.scalar.as_str())
-            .ok_or_else(|| SystemError(format!("no input port for `{}`", r.scalar)))?;
-        port_map.push((slot, port));
-    }
-
-    let (addrs, buffer): (Box<dyn Iterator<Item = i64>>, AnyBuffer) = match ndim {
-        1 => (
-            Box::new(AddressGen1d::new(scans[0])),
-            AnyBuffer::One(SmartBuffer1d::new(
-                extent[0],
-                scans[0].step as usize,
-                scans[0].start,
-            )),
-        ),
-        2 => {
-            let row_width = if w.dims.len() == 2 { w.dims[1] } else { 1 };
-            (
-                Box::new(AddressGen2d::new(scans[0], scans[1], row_width)),
-                AnyBuffer::Two(SmartBuffer2d::new(
-                    extent[0],
-                    extent[1],
-                    scans[0].step as usize,
-                    scans[1].step as usize,
-                    scans[0].start,
-                    scans[0].bound,
-                    scans[1].start,
-                    scans[1].bound,
-                    row_width,
-                )),
-            )
-        }
-        n => return Err(SystemError(format!("{n}-dimensional windows unsupported"))),
-    };
-
-    Ok(InputLane {
-        bram: BramModel::new(data.to_vec()),
-        addrs,
-        buffer,
-        port_map,
-        staged: None,
-    })
 }

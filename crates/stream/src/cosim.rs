@@ -27,10 +27,9 @@
 use crate::fifo::ChannelFifo;
 use crate::rate::output_addr_gens;
 use crate::{CompiledPipeline, StreamError};
-use roccc_buffers::addr::{AddressGen1d, AddressGen2d, DimScan, OutputAddressGen};
+use roccc_buffers::addr::OutputAddressGen;
 use roccc_buffers::bram::BramModel;
-use roccc_buffers::smart::{SmartBuffer1d, SmartBuffer2d};
-use roccc_hlir::kernel::{Kernel, WindowSpec};
+use roccc_buffers::feed::{store_addrs, WindowFeed};
 use roccc_netlist::{BatchedSim, SimPlan};
 use std::collections::HashMap;
 
@@ -75,29 +74,19 @@ impl CosimRun {
     }
 }
 
-enum AnyBuffer {
-    One(SmartBuffer1d),
-    Two(SmartBuffer2d),
-}
-
 /// An input window fed from an external array through a BRAM model.
 struct ExtInLane {
     bram: BramModel,
-    addrs: Box<dyn Iterator<Item = i64>>,
-    buffer: AnyBuffer,
-    port_map: Vec<(usize, usize)>,
-    staged: Option<Vec<i64>>,
+    feed: WindowFeed,
 }
 
 /// An input window fed from a channel.
 struct FifoInLane {
     chan: usize,
-    /// Needed flat addresses, increasing; `None` once exhausted.
+    /// Next needed flat address (the feed's scan, increasing); `None`
+    /// once exhausted.
     next_needed: Option<i64>,
-    addrs: Box<dyn Iterator<Item = i64>>,
-    buffer: AnyBuffer,
-    port_map: Vec<(usize, usize)>,
-    staged: Option<Vec<i64>>,
+    feed: WindowFeed,
 }
 
 /// An output array streamed into a channel.
@@ -132,122 +121,6 @@ fn lookup<'m, T>(map: &'m HashMap<String, T>, stage: &str, name: &str) -> Option
         .or_else(|| map.get(name))
 }
 
-fn window_scans(kernel: &Kernel, w: &WindowSpec) -> Result<Vec<DimScan>, StreamError> {
-    let ndim = w
-        .reads
-        .first()
-        .map(|r| r.index.len())
-        .ok_or_else(|| StreamError::Sim(format!("window `{}` has no reads", w.array)))?;
-    if ndim > 2 {
-        return Err(StreamError::Sim(format!(
-            "{ndim}-dimensional windows unsupported"
-        )));
-    }
-    let extent = w.extent();
-    let mut scans = Vec::new();
-    for (d, ext) in extent.iter().enumerate().take(ndim) {
-        let var = w.reads[0].index[d]
-            .var
-            .clone()
-            .ok_or_else(|| StreamError::Sim("constant window dimensions unsupported".into()))?;
-        let ld = kernel
-            .dims
-            .iter()
-            .find(|l| l.var == var)
-            .ok_or_else(|| StreamError::Sim(format!("window index var `{var}` unknown")))?;
-        let mo = w.reads.iter().map(|r| r.index[d].offset).min().unwrap_or(0);
-        scans.push(DimScan {
-            start: ld.start + mo,
-            bound: ld.bound + mo,
-            step: ld.step,
-            extent: *ext,
-        });
-    }
-    Ok(scans)
-}
-
-/// Address iterator + smart buffer + `(window slot, data-path port)`
-/// map for one input window.
-type WindowPlumbing = (
-    Box<dyn Iterator<Item = i64>>,
-    AnyBuffer,
-    Vec<(usize, usize)>,
-);
-
-/// Builds the `(window slot, data-path port)` map and the smart buffer +
-/// address iterator for one window (mirrors the single-kernel system
-/// simulation so windows stage identically).
-fn window_plumbing(
-    kernel: &Kernel,
-    w: &WindowSpec,
-    port_index: &HashMap<&str, usize>,
-) -> Result<WindowPlumbing, StreamError> {
-    let scans = window_scans(kernel, w)?;
-    let ndim = scans.len();
-    let extent = w.extent();
-    let mut min_off = Vec::new();
-    for d in 0..ndim {
-        min_off.push(w.reads.iter().map(|r| r.index[d].offset).min().unwrap_or(0));
-    }
-    let mut port_map = Vec::new();
-    for r in &w.reads {
-        let slot = match ndim {
-            1 => (r.index[0].offset - min_off[0]) as usize,
-            _ => {
-                let dr = (r.index[0].offset - min_off[0]) as usize;
-                let dc = (r.index[1].offset - min_off[1]) as usize;
-                dr * extent[1] + dc
-            }
-        };
-        let port = *port_index
-            .get(r.scalar.as_str())
-            .ok_or_else(|| StreamError::Sim(format!("no input port for `{}`", r.scalar)))?;
-        port_map.push((slot, port));
-    }
-    let (addrs, buffer): (Box<dyn Iterator<Item = i64>>, AnyBuffer) = match ndim {
-        1 => (
-            Box::new(AddressGen1d::new(scans[0])),
-            AnyBuffer::One(SmartBuffer1d::new(
-                extent[0],
-                scans[0].step as usize,
-                scans[0].start,
-            )),
-        ),
-        _ => {
-            let row_width = if w.dims.len() == 2 { w.dims[1] } else { 1 };
-            (
-                Box::new(AddressGen2d::new(scans[0], scans[1], row_width)),
-                AnyBuffer::Two(SmartBuffer2d::new(
-                    extent[0],
-                    extent[1],
-                    scans[0].step as usize,
-                    scans[1].step as usize,
-                    scans[0].start,
-                    scans[0].bound,
-                    scans[1].start,
-                    scans[1].bound,
-                    row_width,
-                )),
-            )
-        }
-    };
-    Ok((addrs, buffer, port_map))
-}
-
-fn push_into(buffer: &mut AnyBuffer, addr: i64, v: i64) {
-    match buffer {
-        AnyBuffer::One(sb) => sb.push(addr, v),
-        AnyBuffer::Two(sb) => sb.push_flat(addr, v),
-    }
-}
-
-fn stage_window(buffer: &mut AnyBuffer) -> Option<Vec<i64>> {
-    match buffer {
-        AnyBuffer::One(sb) => sb.pop_window(),
-        AnyBuffer::Two(sb) => sb.pop_window(),
-    }
-}
-
 /// Builds one stage's per-lane plumbing.
 #[allow(clippy::too_many_arguments)]
 fn build_stage_lane(
@@ -271,17 +144,13 @@ fn build_stage_lane(
             .channels
             .iter()
             .position(|c| c.to_stage == si && c.to_array == w.array);
-        let (mut addrs, buffer, port_map) = window_plumbing(kernel, w, &port_index)?;
+        let mut feed = WindowFeed::new(kernel, w, &port_index).map_err(StreamError::Sim)?;
         match chan {
             Some(ci) => {
-                let next_needed = addrs.next();
                 fifo_in.push(FifoInLane {
                     chan: ci,
-                    next_needed,
-                    addrs,
-                    buffer,
-                    port_map,
-                    staged: None,
+                    next_needed: feed.next_addr(),
+                    feed,
                 });
             }
             None => {
@@ -302,10 +171,7 @@ fn build_stage_lane(
                 }
                 ext_in.push(ExtInLane {
                     bram: BramModel::new(data.clone()),
-                    addrs,
-                    buffer,
-                    port_map,
-                    staged: None,
+                    feed,
                 });
             }
         }
@@ -348,23 +214,7 @@ fn build_stage_lane(
                         .ok_or_else(|| {
                             StreamError::Sim(format!("no output port for `{}`", wr.scalar))
                         })?;
-                    let mut dims = Vec::new();
-                    for ai in &wr.index {
-                        let var = ai.var.as_ref().ok_or_else(|| {
-                            StreamError::Sim("constant store indices are not supported".into())
-                        })?;
-                        let ld = kernel.dims.iter().find(|l| &l.var == var).ok_or_else(|| {
-                            StreamError::Sim(format!("store index var `{var}` unknown"))
-                        })?;
-                        dims.push(DimScan {
-                            start: ld.start + ai.offset,
-                            bound: ld.bound + ai.offset,
-                            step: ld.step,
-                            extent: 1,
-                        });
-                    }
-                    let row_width = if o.dims.len() == 2 { o.dims[1] } else { 1 };
-                    let gen = OutputAddressGen::new(dims, 0, row_width);
+                    let gen = store_addrs(kernel, o, wr).map_err(StreamError::Sim)?;
                     let total = gen.total();
                     let size: usize = o.dims.iter().product();
                     ext_out.push(ExtOutLane {
@@ -526,12 +376,10 @@ pub fn run_cosim(
                 // firing, and that must not read as a deadlock.
                 for lane in &mut sl.ext_in {
                     for (addr, v) in lane.bram.clock_all() {
-                        push_into(&mut lane.buffer, addr as i64, v);
+                        lane.feed.push(addr as i64, v);
                         progress = true;
                     }
-                    if lane.staged.is_none() {
-                        lane.staged = stage_window(&mut lane.buffer);
-                    }
+                    lane.feed.stage();
                 }
                 for lane in &mut sl.fifo_in {
                     let fifo = &mut fifos[lane.chan][l];
@@ -539,21 +387,19 @@ pub fn run_cosim(
                         let Some((addr, v)) = fifo.pop() else { break };
                         progress = true;
                         if lane.next_needed == Some(addr as i64) {
-                            push_into(&mut lane.buffer, addr as i64, v);
-                            lane.next_needed = lane.addrs.next();
+                            lane.feed.push(addr as i64, v);
+                            lane.next_needed = lane.feed.next_addr();
                         }
                         // Unneeded addresses are popped and discarded so
                         // the producer can always finish its stream.
                     }
-                    if lane.staged.is_none() {
-                        lane.staged = stage_window(&mut lane.buffer);
-                    }
+                    lane.feed.stage();
                 }
 
                 // 2. Fire decision (inputs staged + output credit).
                 let work_left = sl.fired < totals[si];
-                let inputs_ready = sl.ext_in.iter().all(|x| x.staged.is_some())
-                    && sl.fifo_in.iter().all(|x| x.staged.is_some())
+                let inputs_ready = sl.ext_in.iter().all(|x| x.feed.is_staged())
+                    && sl.fifo_in.iter().all(|x| x.feed.is_staged())
                     && (!sl.ext_in.is_empty() || !sl.fifo_in.is_empty());
                 let credit = sl
                     .chan_out
@@ -566,17 +412,12 @@ pub fn run_cosim(
                     } else if !credit {
                         stats[si].stall_cycles += 1;
                     } else {
+                        let row = &mut args[l * num_inputs..(l + 1) * num_inputs];
                         for lane in &mut sl.ext_in {
-                            let win = lane.staged.take().expect("staged");
-                            for (slot, port) in &lane.port_map {
-                                args[l * num_inputs + *port] = win[*slot];
-                            }
+                            lane.feed.fire(row);
                         }
                         for lane in &mut sl.fifo_in {
-                            let win = lane.staged.take().expect("staged");
-                            for (slot, port) in &lane.port_map {
-                                args[l * num_inputs + *port] = win[*slot];
-                            }
+                            lane.feed.fire(row);
                         }
                         for (port, v) in &const_inputs[si] {
                             args[l * num_inputs + *port] = *v;
@@ -634,7 +475,7 @@ pub fn run_cosim(
             for sl in &mut stage_lanes[si] {
                 for lane in &mut sl.ext_in {
                     for _ in 0..bus {
-                        match lane.addrs.next() {
+                        match lane.feed.next_addr() {
                             Some(a) => lane.bram.issue_read(a as usize),
                             None => break,
                         }

@@ -30,7 +30,8 @@
 //! analysis falls back to `depth = len` — a whole-array buffer can never
 //! deadlock — and flags the channel (`P005-nonstatic-rate`).
 
-use roccc_buffers::addr::{DimScan, OutputAddressGen};
+use roccc_buffers::addr::OutputAddressGen;
+use roccc_buffers::feed::store_addrs;
 use roccc_hlir::kernel::{Kernel, OutputSpec, WindowSpec};
 
 /// Statically derived production pattern of one stage output array.
@@ -102,26 +103,7 @@ pub fn output_addr_gens(
 ) -> Result<Vec<OutputAddressGen>, String> {
     let mut gens = Vec::new();
     for wr in &out.writes {
-        let mut dims = Vec::new();
-        for ai in &wr.index {
-            let var = ai
-                .var
-                .as_ref()
-                .ok_or_else(|| format!("store into `{}` uses a constant index", out.array))?;
-            let ld = kernel
-                .dims
-                .iter()
-                .find(|l| &l.var == var)
-                .ok_or_else(|| format!("store index var `{var}` is not a loop variable"))?;
-            dims.push(DimScan {
-                start: ld.start + ai.offset,
-                bound: ld.bound + ai.offset,
-                step: ld.step,
-                extent: 1,
-            });
-        }
-        let row_width = if out.dims.len() == 2 { out.dims[1] } else { 1 };
-        let gen = OutputAddressGen::new(dims, 0, row_width);
+        let gen = store_addrs(kernel, out, wr)?;
         if gen.total() != kernel.total_iterations() {
             return Err(format!(
                 "store into `{}` does not fire once per iteration ({} stores, {} iterations)",
@@ -210,7 +192,7 @@ pub fn consume_rate(kernel: &Kernel, w: &WindowSpec) -> ConsumeRate {
     let extent = w.extent();
     let ndim = w.reads.first().map_or(0, |r| r.index.len());
     // First flat address: the minimum offset of the scan in each
-    // dimension, folded row-major (mirrors `build_lane`'s DimScans).
+    // dimension, folded row-major (mirrors `WindowFeed::new`'s scans).
     let first_addr = if ndim == 2 {
         let row_min = w.reads.iter().map(|r| r.index[0].offset).min().unwrap_or(0);
         let col_min = w.reads.iter().map(|r| r.index[1].offset).min().unwrap_or(0);

@@ -57,6 +57,17 @@ out="$(mktemp -t bench_sim_smoke.XXXXXX.json)"
 cargo run --release -p roccc-bench --bin bench_sim -- \
   --cycles "${BENCH_CYCLES}" --runs 3 --out "${out}"
 grep -q '"benchmark"' "${out}" || { echo "bench smoke: bad JSON" >&2; exit 1; }
+grep -q '"engine": "system"' "${out}" \
+  || { echo "bench smoke: no whole-system row" >&2; exit 1; }
+# Whole-system gate: wavelet's system/compiled ratio (whole-system runs vs
+# the bare CompiledSim on the same netlist), never absolute seconds. Ten
+# runs at the default smoke size measured 0.527-0.918 (median 0.83); the
+# HashMap-keyed line buffer this replaced measured 0.159-0.230 the same
+# way (see EXPERIMENTS.md). 0.35 sits 1.5x above the old model's best run
+# and 0.66x below the new one's worst.
+sys_ratio="$(sed -n 's/.*"kernel": "wavelet", "engine": "system".*"speedup": \([0-9.]*\).*/\1/p' "${out}")"
+awk "BEGIN { exit !(${sys_ratio:-0} >= 0.35) }" \
+  || { echo "bench smoke: wavelet system/compiled ${sys_ratio} below 0.35" >&2; exit 1; }
 rm -f "${out}"
 
 echo "==> table1 smoke"

@@ -199,3 +199,68 @@ fn smart_buffer_reuse_property() {
         assert!(sb.stats().fetched <= touched as u64, "case {case}");
     }
 }
+
+/// The 2-D line buffer delivers every window position of a row-major
+/// image scan, in scan order and with the right elements, and fetches
+/// each touched element exactly once.
+#[test]
+fn smart_buffer_2d_reuse_property() {
+    use roccc_suite::buffers::{AddressGen2d, DimScan, SmartBuffer2d};
+    for case in 0..CASES {
+        let mut rng = XorShift64::new(0x6800 + case);
+        let dim = |rng: &mut XorShift64| {
+            let start = rng.gen_range(0, 2);
+            let step = rng.gen_range(1, 3);
+            let positions = rng.gen_range(1, 9);
+            DimScan {
+                start,
+                bound: start + (positions - 1) * step + 1,
+                step,
+                extent: rng.gen_range(1, 5) as usize,
+            }
+        };
+        let rows = dim(&mut rng);
+        let cols = dim(&mut rng);
+        let width = (cols.last_touched() + 1 + rng.gen_range(0, 4)) as usize;
+        let img: Vec<i64> = (0..(rows.last_touched() + 1) * width as i64)
+            .map(|x| x * 13 - 400)
+            .collect();
+        let mut sb = SmartBuffer2d::new(
+            rows.extent,
+            cols.extent,
+            rows.step as usize,
+            cols.step as usize,
+            rows.start,
+            rows.bound,
+            cols.start,
+            cols.bound,
+            width,
+        );
+        let mut got = Vec::new();
+        let gen = AddressGen2d::new(rows, cols, width);
+        let total = gen.total();
+        for flat in gen {
+            sb.push_flat(flat, img[flat as usize]);
+            while let Some(w) = sb.pop_window() {
+                got.push(w);
+            }
+        }
+        let mut expect = Vec::new();
+        for r in (rows.start..rows.bound).step_by(rows.step as usize) {
+            for c in (cols.start..cols.bound).step_by(cols.step as usize) {
+                let w: Vec<i64> = (r..r + rows.extent as i64)
+                    .flat_map(|y| (c..c + cols.extent as i64).map(move |x| (y, x)))
+                    .map(|(y, x)| img[(y * width as i64 + x) as usize])
+                    .collect();
+                expect.push(w);
+            }
+        }
+        assert_eq!(
+            got, expect,
+            "case {case} rows {rows:?} cols {cols:?} width {width}"
+        );
+        // Exactly-once fetching of the touched rectangle.
+        assert_eq!(sb.stats().fetched, total, "case {case}");
+        assert_eq!(sb.stats().windows, rows.positions() * cols.positions());
+    }
+}
