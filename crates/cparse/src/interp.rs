@@ -9,18 +9,19 @@
 //!
 //! * every store into a typed location wraps to that location's width
 //!   ([`crate::types::IntType::wrap`]);
-//! * intermediate expression evaluation is 64-bit two's complement with
-//!   wrap-around;
-//! * shift amounts are clamped to `0..=63`; `>>` of a signed value is an
-//!   arithmetic shift;
-//! * `/` and `%` trap on a zero divisor (hardware divides by constants or
-//!   uses an explicit divider core);
+//! * operators take their values from [`crate::ops`]: 64-bit two's
+//!   complement with wrap-around, shift amounts saturating at
+//!   [`ops::MAX_SHIFT`];
+//! * every [`ops::Fault`] traps with its message: `/` and `%` by zero
+//!   (hardware divides by constants or uses an explicit divider core), a
+//!   negative shift amount, a negative LUT index;
 //! * `ROCCC_load_prev`/`ROCCC_store2next` access feedback state that
 //!   persists across calls of the same [`Interpreter`], modelling the
 //!   data-path latch between loop iterations.
 
 use crate::ast::*;
 use crate::error::{CError, CResult, Stage};
+use crate::ops;
 use crate::span::Span;
 use crate::types::{CType, IntType};
 use std::collections::HashMap;
@@ -275,7 +276,7 @@ impl<'a, 'p> Ctx<'a, 'p> {
                     None => rhs,
                     Some(op) => {
                         let old = self.read_lvalue(target, s.span)?;
-                        apply_binop(*op, old, rhs, s.span)?
+                        op.eval(old, rhs).map_err(|f| rt(s.span, f.to_string()))?
                     }
                 };
                 self.write_lvalue(target, new, s.span)?;
@@ -501,9 +502,9 @@ impl<'a, 'p> Ctx<'a, 'p> {
             ExprKind::Unary { op, operand } => {
                 let v = self.eval(operand)?;
                 Ok(match op {
-                    UnOp::Neg => v.wrapping_neg(),
-                    UnOp::BitNot => !v,
-                    UnOp::LogicalNot => (v == 0) as i64,
+                    UnOp::Neg => ops::neg(v),
+                    UnOp::BitNot => ops::not(v),
+                    UnOp::LogicalNot => ops::eq(v, 0),
                 })
             }
             ExprKind::Binary { op, lhs, rhs } => {
@@ -514,20 +515,20 @@ impl<'a, 'p> Ctx<'a, 'p> {
                         if l == 0 {
                             return Ok(0);
                         }
-                        return Ok((self.eval(rhs)? != 0) as i64);
+                        return Ok(ops::truth(self.eval(rhs)?));
                     }
                     BinOp::LogicalOr => {
                         let l = self.eval(lhs)?;
                         if l != 0 {
                             return Ok(1);
                         }
-                        return Ok((self.eval(rhs)? != 0) as i64);
+                        return Ok(ops::truth(self.eval(rhs)?));
                     }
                     _ => {}
                 }
                 let l = self.eval(lhs)?;
                 let r = self.eval(rhs)?;
-                apply_binop(*op, l, r, e.span)
+                op.eval(l, r).map_err(|f| rt(e.span, f.to_string()))
             }
             ExprKind::Cond {
                 cond,
@@ -592,14 +593,12 @@ impl<'a, 'p> Ctx<'a, 'p> {
                     .program
                     .global(&table)
                     .ok_or_else(|| rt(span, format!("unknown table `{table}`")))?;
-                if idx < 0 {
-                    return Err(rt(span, "negative LUT index"));
-                }
+                let word = ops::lut(&g.init, idx).map_err(|f| rt(span, f.to_string()))?;
                 let t = match &g.ty {
                     CType::Array(t, _) => *t,
                     _ => return Err(rt(span, "LUT target is not an array")),
                 };
-                Ok(t.wrap(g.init.get(idx as usize).copied().unwrap_or(0)))
+                Ok(t.wrap(word))
             }
             intrinsics::BITS => {
                 let x = self.eval(&args[0])?;
@@ -611,7 +610,7 @@ impl<'a, 'p> Ctx<'a, 'p> {
                     .ok_or_else(|| rt(span, "ROCCC_bits lo must be constant"))?;
                 let width = (hi - lo + 1).clamp(1, 63) as u32;
                 let mask = (1u64 << width) - 1;
-                Ok((((x as u64) >> lo.clamp(0, 63)) & mask) as i64)
+                Ok((((x as u64) >> lo.clamp(0, ops::MAX_SHIFT)) & mask) as i64)
             }
             intrinsics::CAT => {
                 let hi = self.eval(&args[0])?;
@@ -651,51 +650,6 @@ impl<'a, 'p> Ctx<'a, 'p> {
             }
         }
     }
-}
-
-fn apply_binop(op: BinOp, l: i64, r: i64, span: Span) -> CResult<i64> {
-    Ok(match op {
-        BinOp::Add => l.wrapping_add(r),
-        BinOp::Sub => l.wrapping_sub(r),
-        BinOp::Mul => l.wrapping_mul(r),
-        BinOp::Div => {
-            if r == 0 {
-                return Err(rt(span, "division by zero"));
-            }
-            l.wrapping_div(r)
-        }
-        BinOp::Rem => {
-            if r == 0 {
-                return Err(rt(span, "remainder by zero"));
-            }
-            l.wrapping_rem(r)
-        }
-        BinOp::Shl => {
-            let amt = r.clamp(0, 63) as u32;
-            if r < 0 {
-                return Err(rt(span, "negative shift amount"));
-            }
-            l.wrapping_shl(amt)
-        }
-        BinOp::Shr => {
-            let amt = r.clamp(0, 63) as u32;
-            if r < 0 {
-                return Err(rt(span, "negative shift amount"));
-            }
-            l.wrapping_shr(amt)
-        }
-        BinOp::Lt => (l < r) as i64,
-        BinOp::Le => (l <= r) as i64,
-        BinOp::Gt => (l > r) as i64,
-        BinOp::Ge => (l >= r) as i64,
-        BinOp::Eq => (l == r) as i64,
-        BinOp::Ne => (l != r) as i64,
-        BinOp::BitAnd => l & r,
-        BinOp::BitXor => l ^ r,
-        BinOp::BitOr => l | r,
-        BinOp::LogicalAnd => ((l != 0) && (r != 0)) as i64,
-        BinOp::LogicalOr => ((l != 0) || (r != 0)) as i64,
-    })
 }
 
 #[cfg(test)]

@@ -16,6 +16,9 @@
 //!    fixed-width wrap-around semantics, against which generated hardware is
 //!    verified bit-for-bit.
 //!
+//! [`ops`] is the one definition of operator values, shared by the
+//! interpreter and every executor downstream.
+//!
 //! ```
 //! use roccc_cparse::{parser::parse, sema::check, interp::Interpreter};
 //!
@@ -37,6 +40,7 @@ pub mod inline_vec;
 pub mod intern;
 pub mod interp;
 pub mod lexer;
+pub mod ops;
 pub mod parser;
 pub mod sema;
 pub mod span;

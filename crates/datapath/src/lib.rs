@@ -8,8 +8,7 @@
 //!   nodes around alternative branches (Figure 6);
 //! * [`pipeline`] — automatic latch placement from per-opcode delay
 //!   estimation, with the `LPR`/`SNX` feedback-latch rule (Figure 7);
-//! * [`narrow`] — backward bit-width narrowing from port sizes and opcodes;
-//! * [`eval`] — word-accurate evaluation for differential testing.
+//! * [`narrow`] — backward bit-width narrowing from port sizes and opcodes.
 //!
 //! ```
 //! use roccc_cparse::parser::parse;
@@ -33,13 +32,11 @@
 #![warn(missing_docs)]
 
 pub mod build;
-pub mod eval;
 pub mod graph;
 pub mod narrow;
 pub mod pipeline;
 
 pub use build::{build_datapath, build_datapath_ranged};
-pub use eval::DpMachine;
 pub use graph::{Datapath, DpNode, DpOp, NodeId, NodeKind, OpId, OutputPort, Value};
 pub use narrow::{narrow_widths, register_bits, width_bits_saved};
 pub use pipeline::{

@@ -7,6 +7,7 @@
 
 use crate::subst::{map_block_exprs_mut, map_expr_mut};
 use roccc_cparse::ast::*;
+use roccc_cparse::ops;
 
 /// Folds constants in every function of the program, in place.
 pub(crate) fn fold_program_mut(p: &mut Program) {
@@ -64,9 +65,9 @@ fn fold_node(e: Expr) -> Expr {
         ExprKind::Unary { op, operand } => {
             if let Some(v) = operand.as_const() {
                 let folded = match op {
-                    UnOp::Neg => v.wrapping_neg(),
-                    UnOp::BitNot => !v,
-                    UnOp::LogicalNot => (v == 0) as i64,
+                    UnOp::Neg => ops::neg(v),
+                    UnOp::BitNot => ops::not(v),
+                    UnOp::LogicalNot => ops::eq(v, 0),
                 };
                 return Expr::int(folded, span);
             }
@@ -74,7 +75,9 @@ fn fold_node(e: Expr) -> Expr {
         }
         ExprKind::Binary { op, lhs, rhs } => {
             if let (Some(l), Some(r)) = (lhs.as_const(), rhs.as_const()) {
-                if let Some(v) = eval_binop(*op, l, r) {
+                // A faulting operation stays in place so the interpreter
+                // reports it with the right span.
+                if let Ok(v) = op.eval(l, r) {
                     return Expr::int(v, span);
                 }
             }
@@ -107,51 +110,6 @@ fn fold_node(e: Expr) -> Expr {
         }
         _ => e,
     }
-}
-
-/// Evaluates a binary operation on constants; `None` for division by zero
-/// (left in place so the interpreter reports it with the right span).
-pub fn eval_binop(op: BinOp, l: i64, r: i64) -> Option<i64> {
-    Some(match op {
-        BinOp::Add => l.wrapping_add(r),
-        BinOp::Sub => l.wrapping_sub(r),
-        BinOp::Mul => l.wrapping_mul(r),
-        BinOp::Div => {
-            if r == 0 {
-                return None;
-            }
-            l.wrapping_div(r)
-        }
-        BinOp::Rem => {
-            if r == 0 {
-                return None;
-            }
-            l.wrapping_rem(r)
-        }
-        BinOp::Shl => {
-            if r < 0 {
-                return None;
-            }
-            l.wrapping_shl(r.min(63) as u32)
-        }
-        BinOp::Shr => {
-            if r < 0 {
-                return None;
-            }
-            l.wrapping_shr(r.min(63) as u32)
-        }
-        BinOp::Lt => (l < r) as i64,
-        BinOp::Le => (l <= r) as i64,
-        BinOp::Gt => (l > r) as i64,
-        BinOp::Ge => (l >= r) as i64,
-        BinOp::Eq => (l == r) as i64,
-        BinOp::Ne => (l != r) as i64,
-        BinOp::BitAnd => l & r,
-        BinOp::BitXor => l ^ r,
-        BinOp::BitOr => l | r,
-        BinOp::LogicalAnd => ((l != 0) && (r != 0)) as i64,
-        BinOp::LogicalOr => ((l != 0) || (r != 0)) as i64,
-    })
 }
 
 fn simplify_identity(
@@ -248,7 +206,7 @@ fn reassociate(op: BinOp, lhs: &Expr, rhs: &Expr, span: roccc_cparse::span::Span
                 return None;
             }
         }
-        BinOp::Sub => (lhs, rhs.as_const()?.wrapping_neg()),
+        BinOp::Sub => (lhs, ops::neg(rhs.as_const()?)),
         _ => return None,
     };
     // Normalize the inner node to `base + c_inner`.
@@ -270,15 +228,15 @@ fn reassociate(op: BinOp, lhs: &Expr, rhs: &Expr, span: roccc_cparse::span::Span
                 return None;
             }
         }
-        BinOp::Sub => (ilhs, irhs.as_const()?.wrapping_neg()),
+        BinOp::Sub => (ilhs, ops::neg(irhs.as_const()?)),
         _ => return None,
     };
-    let c = c_inner.wrapping_add(c_outer);
+    let c = ops::add(c_inner, c_outer);
     if c == 0 {
         return Some((**base).clone());
     }
     let (op2, mag) = if c < 0 {
-        (BinOp::Sub, c.wrapping_neg())
+        (BinOp::Sub, ops::neg(c))
     } else {
         (BinOp::Add, c)
     };

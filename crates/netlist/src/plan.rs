@@ -28,10 +28,14 @@
 //! The compiled engine is bit-identical to the reference simulator (the
 //! workspace differential tests drive both over random kernels, bubbles
 //! included) and is what `run_system` and the bench harness execute.
+//! Both engines keep their own per-op dispatch, since it is the hot loop,
+//! but every arm takes its value from the `roccc_cparse::ops` primitives
+//! and settles faults through the shared netlist policy.
 
 use crate::cells::{CellKind, Netlist};
-use crate::sim::SimError;
+use crate::sim::{on_fault, SimError};
 use roccc_cparse::intern::Symbol;
+use roccc_cparse::ops::{self, Fault};
 use roccc_cparse::types::IntType;
 use roccc_suifvm::ir::Opcode;
 
@@ -269,10 +273,7 @@ impl SimPlan {
                 CellKind::Op { op, srcs, imm } => {
                     let sim_op = lower_op(*op, *imm, stages[i], &roms)?;
                     let idx = |k: usize| srcs.get(k).map_or(0, |s| s.0);
-                    // Pre-fold constant subexpressions (division excluded
-                    // when the folded divisor is zero: that must stay a
-                    // dynamic, occupancy-gated fault).
-                    let folded = fold_const(sim_op, srcs, &const_val, &roms);
+                    let folded = fold_cell(*op, srcs, *imm, &const_val, &roms);
                     if let Some(v) = folded {
                         let v = wrap.apply(v);
                         const_val[i] = Some(v);
@@ -577,63 +578,34 @@ fn lower_op(op: Opcode, imm: i64, stage: u32, roms: &[Vec<i64>]) -> Result<SimOp
     })
 }
 
-/// Evaluates `op` at compile time when every source is a known constant.
-/// Returns `None` when any source is dynamic or the fold is unsafe.
-fn fold_const(
-    op: SimOp,
+/// Evaluates cell `op` at plan-compile time when its sources are known
+/// constants, under the netlist fault policy ([`on_fault`]) — except a zero
+/// divisor, which must stay a dynamic, occupancy-gated fault.
+fn fold_cell(
+    op: Opcode,
     srcs: &[crate::cells::CellId],
+    imm: i64,
     const_val: &[Option<i64>],
     roms: &[Vec<i64>],
 ) -> Option<i64> {
     let cv = |k: usize| -> Option<i64> { const_val[srcs.get(k)?.0 as usize] };
-    Some(match op {
-        SimOp::Input { .. } => return None,
-        SimOp::Add => cv(0)?.wrapping_add(cv(1)?),
-        SimOp::Sub => cv(0)?.wrapping_sub(cv(1)?),
-        SimOp::Mul => cv(0)?.wrapping_mul(cv(1)?),
-        SimOp::Div { .. } => {
-            let d = cv(1)?;
-            if d == 0 {
-                return None;
+    let value = match op {
+        Opcode::Cvt => return cv(0),
+        Opcode::Mux => return cv(0).and_then(|sel| cv(if sel != 0 { 1 } else { 2 })),
+        Opcode::Lut => ops::lut(&roms[imm as usize], cv(0)?),
+        op => {
+            let mut s = [0i64; 3];
+            for (k, slot) in s.iter_mut().enumerate().take(srcs.len()) {
+                *slot = cv(k)?;
             }
-            cv(0)?.wrapping_div(d)
+            op.eval(&s)?
         }
-        SimOp::Rem { .. } => {
-            let d = cv(1)?;
-            if d == 0 {
-                return None;
-            }
-            cv(0)?.wrapping_rem(d)
-        }
-        SimOp::Neg => cv(0)?.wrapping_neg(),
-        SimOp::Not => !cv(0)?,
-        SimOp::Shl => cv(0)?.wrapping_shl(cv(1)?.clamp(0, 63) as u32),
-        SimOp::Shr => cv(0)?.wrapping_shr(cv(1)?.clamp(0, 63) as u32),
-        SimOp::And => cv(0)? & cv(1)?,
-        SimOp::Or => cv(0)? | cv(1)?,
-        SimOp::Xor => cv(0)? ^ cv(1)?,
-        SimOp::Slt => (cv(0)? < cv(1)?) as i64,
-        SimOp::Sle => (cv(0)? <= cv(1)?) as i64,
-        SimOp::Seq => (cv(0)? == cv(1)?) as i64,
-        SimOp::Sne => (cv(0)? != cv(1)?) as i64,
-        SimOp::Bool => (cv(0)? != 0) as i64,
-        SimOp::Mux => {
-            if cv(0)? != 0 {
-                cv(1)?
-            } else {
-                cv(2)?
-            }
-        }
-        SimOp::Copy => cv(0)?,
-        SimOp::Lut { rom } => {
-            let idx = cv(0)?;
-            if idx < 0 {
-                0
-            } else {
-                roms[rom as usize].get(idx as usize).copied().unwrap_or(0)
-            }
-        }
-    })
+    };
+    match value {
+        Ok(v) => Some(v),
+        Err(Fault::DivByZero | Fault::RemByZero) => None,
+        Err(f) => on_fault(f, cv(0)?, false).ok(),
+    }
 }
 
 /// A running compiled simulation: mutable buffers over a [`SimPlan`].
@@ -722,7 +694,8 @@ impl<'p> CompiledSim<'p> {
     ///
     /// Returns [`SimError`] on division/remainder by zero while a valid
     /// iteration occupies the divider's own pipeline stage (bubbles force
-    /// benign results), or on negative dynamic shifts during valid cycles.
+    /// benign results), or on a valid launch off the initiation-interval
+    /// grid.
     ///
     /// # Panics
     ///
@@ -745,65 +718,45 @@ impl<'p> CompiledSim<'p> {
 
         // Combinational settle over the dense instruction stream.
         let vals = &mut self.vals;
+        let occ = |stage: u32| self.occ.get(stage as usize).copied().unwrap_or(false);
         for ins in &self.plan.instrs {
             let s = |k: u32| vals[k as usize];
             let v = match ins.op {
                 SimOp::Input { port } => args[port as usize],
-                SimOp::Add => s(ins.a).wrapping_add(s(ins.b)),
-                SimOp::Sub => s(ins.a).wrapping_sub(s(ins.b)),
-                SimOp::Mul => s(ins.a).wrapping_mul(s(ins.b)),
+                SimOp::Add => ops::add(s(ins.a), s(ins.b)),
+                SimOp::Sub => ops::sub(s(ins.a), s(ins.b)),
+                SimOp::Mul => ops::mul(s(ins.a), s(ins.b)),
                 SimOp::Div { stage } => {
-                    let d = s(ins.b);
-                    if d == 0 {
-                        if self.occ.get(stage as usize).copied().unwrap_or(false) {
-                            return Err(SimError("division by zero".into()));
-                        }
-                        0
-                    } else {
-                        s(ins.a).wrapping_div(d)
-                    }
+                    let x = s(ins.a);
+                    ops::div(x, s(ins.b)).or_else(|f| on_fault(f, x, occ(stage)))?
                 }
                 SimOp::Rem { stage } => {
-                    let d = s(ins.b);
-                    if d == 0 {
-                        if self.occ.get(stage as usize).copied().unwrap_or(false) {
-                            return Err(SimError("remainder by zero".into()));
-                        }
-                        0
-                    } else {
-                        s(ins.a).wrapping_rem(d)
-                    }
+                    let x = s(ins.a);
+                    ops::rem(x, s(ins.b)).or_else(|f| on_fault(f, x, occ(stage)))?
                 }
-                SimOp::Neg => s(ins.a).wrapping_neg(),
-                SimOp::Not => !s(ins.a),
-                SimOp::Shl => s(ins.a).wrapping_shl(s(ins.b).clamp(0, 63) as u32),
-                SimOp::Shr => s(ins.a).wrapping_shr(s(ins.b).clamp(0, 63) as u32),
-                SimOp::And => s(ins.a) & s(ins.b),
-                SimOp::Or => s(ins.a) | s(ins.b),
-                SimOp::Xor => s(ins.a) ^ s(ins.b),
-                SimOp::Slt => (s(ins.a) < s(ins.b)) as i64,
-                SimOp::Sle => (s(ins.a) <= s(ins.b)) as i64,
-                SimOp::Seq => (s(ins.a) == s(ins.b)) as i64,
-                SimOp::Sne => (s(ins.a) != s(ins.b)) as i64,
-                SimOp::Bool => (s(ins.a) != 0) as i64,
-                SimOp::Mux => {
-                    if s(ins.a) != 0 {
-                        s(ins.b)
-                    } else {
-                        s(ins.c)
-                    }
+                SimOp::Neg => ops::neg(s(ins.a)),
+                SimOp::Not => ops::not(s(ins.a)),
+                SimOp::Shl => {
+                    let x = s(ins.a);
+                    ops::shl(x, s(ins.b)).or_else(|f| on_fault(f, x, false))?
                 }
+                SimOp::Shr => {
+                    let x = s(ins.a);
+                    ops::shr(x, s(ins.b)).or_else(|f| on_fault(f, x, false))?
+                }
+                SimOp::And => ops::and(s(ins.a), s(ins.b)),
+                SimOp::Or => ops::or(s(ins.a), s(ins.b)),
+                SimOp::Xor => ops::xor(s(ins.a), s(ins.b)),
+                SimOp::Slt => ops::lt(s(ins.a), s(ins.b)),
+                SimOp::Sle => ops::le(s(ins.a), s(ins.b)),
+                SimOp::Seq => ops::eq(s(ins.a), s(ins.b)),
+                SimOp::Sne => ops::ne(s(ins.a), s(ins.b)),
+                SimOp::Bool => ops::truth(s(ins.a)),
+                SimOp::Mux => ops::select(s(ins.a), s(ins.b), s(ins.c)),
                 SimOp::Copy => s(ins.a),
                 SimOp::Lut { rom } => {
-                    let idx = s(ins.a);
-                    if idx < 0 {
-                        0
-                    } else {
-                        self.plan.roms[rom as usize]
-                            .get(idx as usize)
-                            .copied()
-                            .unwrap_or(0)
-                    }
+                    let x = s(ins.a);
+                    ops::lut(&self.plan.roms[rom as usize], x).or_else(|f| on_fault(f, x, false))?
                 }
             };
             vals[ins.dst as usize] = ins.wrap.apply(v);
@@ -1059,8 +1012,8 @@ impl<'p> BatchedSim<'p> {
     ///
     /// Returns [`SimError`] if any lane divides by zero while a valid
     /// iteration occupies that divider's stage in that lane (bubble lanes
-    /// produce benign zeros), or mirrors of the other
-    /// [`CompiledSim::step`] fault conditions.
+    /// produce benign zeros), or on a valid launch off the
+    /// initiation-interval grid.
     ///
     /// # Panics
     ///
@@ -1140,119 +1093,107 @@ impl<'p> BatchedSim<'p> {
                 SimOp::Add => {
                     let (a, b) = (&src[ab..ab + lanes], &src[bb..bb + lanes]);
                     for ((t, &x), &y) in dst.iter_mut().zip(a).zip(b) {
-                        *t = w.apply(x.wrapping_add(y));
+                        *t = w.apply(ops::add(x, y));
                     }
                 }
                 SimOp::Sub => {
                     let (a, b) = (&src[ab..ab + lanes], &src[bb..bb + lanes]);
                     for ((t, &x), &y) in dst.iter_mut().zip(a).zip(b) {
-                        *t = w.apply(x.wrapping_sub(y));
+                        *t = w.apply(ops::sub(x, y));
                     }
                 }
                 SimOp::Mul => {
                     let (a, b) = (&src[ab..ab + lanes], &src[bb..bb + lanes]);
                     for ((t, &x), &y) in dst.iter_mut().zip(a).zip(b) {
-                        *t = w.apply(x.wrapping_mul(y));
+                        *t = w.apply(ops::mul(x, y));
                     }
                 }
                 SimOp::Div { stage } => {
                     let (a, b) = (&src[ab..ab + lanes], &src[bb..bb + lanes]);
                     let ob = stage as usize * lanes;
                     for (l, ((t, &x), &d)) in dst.iter_mut().zip(a).zip(b).enumerate() {
-                        *t = if d == 0 {
-                            if self.occ.get(ob + l).copied().unwrap_or(false) {
-                                return Err(SimError("division by zero".into()));
-                            }
-                            0
-                        } else {
-                            w.apply(x.wrapping_div(d))
-                        };
+                        let valid = || self.occ.get(ob + l).copied().unwrap_or(false);
+                        *t = w.apply(ops::div(x, d).or_else(|f| on_fault(f, x, valid()))?);
                     }
                 }
                 SimOp::Rem { stage } => {
                     let (a, b) = (&src[ab..ab + lanes], &src[bb..bb + lanes]);
                     let ob = stage as usize * lanes;
                     for (l, ((t, &x), &d)) in dst.iter_mut().zip(a).zip(b).enumerate() {
-                        *t = if d == 0 {
-                            if self.occ.get(ob + l).copied().unwrap_or(false) {
-                                return Err(SimError("remainder by zero".into()));
-                            }
-                            0
-                        } else {
-                            w.apply(x.wrapping_rem(d))
-                        };
+                        let valid = || self.occ.get(ob + l).copied().unwrap_or(false);
+                        *t = w.apply(ops::rem(x, d).or_else(|f| on_fault(f, x, valid()))?);
                     }
                 }
                 SimOp::Neg => {
                     let a = &src[ab..ab + lanes];
                     for (t, &x) in dst.iter_mut().zip(a) {
-                        *t = w.apply(x.wrapping_neg());
+                        *t = w.apply(ops::neg(x));
                     }
                 }
                 SimOp::Not => {
                     let a = &src[ab..ab + lanes];
                     for (t, &x) in dst.iter_mut().zip(a) {
-                        *t = w.apply(!x);
+                        *t = w.apply(ops::not(x));
                     }
                 }
                 SimOp::Shl => {
                     let (a, b) = (&src[ab..ab + lanes], &src[bb..bb + lanes]);
                     for ((t, &x), &y) in dst.iter_mut().zip(a).zip(b) {
-                        *t = w.apply(x.wrapping_shl(y.clamp(0, 63) as u32));
+                        *t = w.apply(ops::shl(x, y).or_else(|f| on_fault(f, x, false))?);
                     }
                 }
                 SimOp::Shr => {
                     let (a, b) = (&src[ab..ab + lanes], &src[bb..bb + lanes]);
                     for ((t, &x), &y) in dst.iter_mut().zip(a).zip(b) {
-                        *t = w.apply(x.wrapping_shr(y.clamp(0, 63) as u32));
+                        *t = w.apply(ops::shr(x, y).or_else(|f| on_fault(f, x, false))?);
                     }
                 }
                 SimOp::And => {
                     let (a, b) = (&src[ab..ab + lanes], &src[bb..bb + lanes]);
                     for ((t, &x), &y) in dst.iter_mut().zip(a).zip(b) {
-                        *t = w.apply(x & y);
+                        *t = w.apply(ops::and(x, y));
                     }
                 }
                 SimOp::Or => {
                     let (a, b) = (&src[ab..ab + lanes], &src[bb..bb + lanes]);
                     for ((t, &x), &y) in dst.iter_mut().zip(a).zip(b) {
-                        *t = w.apply(x | y);
+                        *t = w.apply(ops::or(x, y));
                     }
                 }
                 SimOp::Xor => {
                     let (a, b) = (&src[ab..ab + lanes], &src[bb..bb + lanes]);
                     for ((t, &x), &y) in dst.iter_mut().zip(a).zip(b) {
-                        *t = w.apply(x ^ y);
+                        *t = w.apply(ops::xor(x, y));
                     }
                 }
                 SimOp::Slt => {
                     let (a, b) = (&src[ab..ab + lanes], &src[bb..bb + lanes]);
                     for ((t, &x), &y) in dst.iter_mut().zip(a).zip(b) {
-                        *t = (x < y) as i64;
+                        *t = ops::lt(x, y);
                     }
                 }
                 SimOp::Sle => {
                     let (a, b) = (&src[ab..ab + lanes], &src[bb..bb + lanes]);
                     for ((t, &x), &y) in dst.iter_mut().zip(a).zip(b) {
-                        *t = (x <= y) as i64;
+                        *t = ops::le(x, y);
                     }
                 }
                 SimOp::Seq => {
                     let (a, b) = (&src[ab..ab + lanes], &src[bb..bb + lanes]);
                     for ((t, &x), &y) in dst.iter_mut().zip(a).zip(b) {
-                        *t = (x == y) as i64;
+                        *t = ops::eq(x, y);
                     }
                 }
                 SimOp::Sne => {
                     let (a, b) = (&src[ab..ab + lanes], &src[bb..bb + lanes]);
                     for ((t, &x), &y) in dst.iter_mut().zip(a).zip(b) {
-                        *t = (x != y) as i64;
+                        *t = ops::ne(x, y);
                     }
                 }
                 SimOp::Bool => {
                     let a = &src[ab..ab + lanes];
                     for (t, &x) in dst.iter_mut().zip(a) {
-                        *t = (x != 0) as i64;
+                        *t = ops::truth(x);
                     }
                 }
                 SimOp::Mux => {
@@ -1262,7 +1203,7 @@ impl<'p> BatchedSim<'p> {
                         &src[cb..cb + lanes],
                     );
                     for (((t, &s), &x), &y) in dst.iter_mut().zip(a).zip(b).zip(c) {
-                        *t = w.apply(if s != 0 { x } else { y });
+                        *t = w.apply(ops::select(s, x, y));
                     }
                 }
                 SimOp::Copy => {
@@ -1275,11 +1216,7 @@ impl<'p> BatchedSim<'p> {
                     let a = &src[ab..ab + lanes];
                     let rom = &self.plan.roms[rom as usize];
                     for (t, &x) in dst.iter_mut().zip(a) {
-                        *t = if x < 0 {
-                            0
-                        } else {
-                            w.apply(rom.get(x as usize).copied().unwrap_or(0))
-                        };
+                        *t = w.apply(ops::lut(rom, x).or_else(|f| on_fault(f, x, false))?);
                     }
                 }
             }

@@ -9,10 +9,12 @@
 
 use crate::cells::*;
 use crate::plan::cell_stages;
+use roccc_cparse::ops::{self, Fault};
 use roccc_cparse::types::IntType;
 use roccc_suifvm::ir::Opcode;
 
-/// Simulation error (division by zero, negative dynamic shift).
+/// Simulation error (division or remainder by zero in a valid iteration,
+/// an opcode no netlist carries, a mistimed launch).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimError(pub String);
 
@@ -23,6 +25,20 @@ impl std::fmt::Display for SimError {
 }
 
 impl std::error::Error for SimError {}
+
+/// What netlist hardware computes when an operator faults — the one fault
+/// policy of every netlist engine. Hardware has no traps: a negative shift
+/// amount shifts by 0 (`lhs` passes through) and a negative LUT index
+/// reads 0. A zero divisor is an error when `stage_valid`, i.e. a valid
+/// iteration occupies the divider's stage; a bubble's garbage divides to 0.
+#[inline(always)]
+pub(crate) fn on_fault(fault: Fault, lhs: i64, stage_valid: bool) -> Result<i64, SimError> {
+    match fault {
+        Fault::DivByZero | Fault::RemByZero if stage_valid => Err(SimError(fault.to_string())),
+        Fault::DivByZero | Fault::RemByZero | Fault::NegativeLutIndex => Ok(0),
+        Fault::NegativeShift => Ok(lhs),
+    }
+}
 
 /// The result of one simulated clock cycle.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,8 +101,9 @@ impl<'n> NetlistSim<'n> {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] on division by zero or negative dynamic shifts
-    /// *during valid cycles* (invalid cycles force benign operands).
+    /// Returns [`SimError`] on division or remainder by zero while a valid
+    /// iteration occupies the divider's stage (bubbles divide to 0), or on
+    /// a valid launch off the initiation-interval grid.
     pub fn step(&mut self, args: &[i64], valid: bool) -> Result<CycleResult, SimError> {
         assert_eq!(args.len(), self.nl.inputs.len(), "input arity");
         let ii = self.nl.effective_ii();
@@ -113,73 +130,28 @@ impl<'n> NetlistSim<'n> {
                 CellKind::Input(k) => self.nl.inputs[*k].1.wrap(args[*k]),
                 CellKind::Reg { .. } => self.regs[i],
                 CellKind::Op { op, srcs, imm } => {
-                    let s = |k: usize| vals[srcs[k].0 as usize];
-                    match op {
-                        Opcode::Add => s(0).wrapping_add(s(1)),
-                        Opcode::Sub => s(0).wrapping_sub(s(1)),
-                        Opcode::Mul => s(0).wrapping_mul(s(1)),
-                        Opcode::Div => {
-                            let d = s(1);
-                            if d == 0 {
-                                // The zero only matters if a *valid*
-                                // iteration occupies the divider's own
-                                // stage; garbage bubbles are benign.
-                                let stage = self.stages[i] as usize;
-                                if occ.get(stage).copied().unwrap_or(false) {
-                                    return Err(SimError("division by zero".into()));
-                                }
-                                0
-                            } else {
-                                s(0).wrapping_div(d)
-                            }
-                        }
-                        Opcode::Rem => {
-                            let d = s(1);
-                            if d == 0 {
-                                let stage = self.stages[i] as usize;
-                                if occ.get(stage).copied().unwrap_or(false) {
-                                    return Err(SimError("remainder by zero".into()));
-                                }
-                                0
-                            } else {
-                                s(0).wrapping_rem(d)
-                            }
-                        }
-                        Opcode::Neg => s(0).wrapping_neg(),
-                        Opcode::Not => !s(0),
-                        Opcode::Shl => s(0).wrapping_shl(s(1).clamp(0, 63) as u32),
-                        Opcode::Shr => s(0).wrapping_shr(s(1).clamp(0, 63) as u32),
-                        Opcode::And => s(0) & s(1),
-                        Opcode::Or => s(0) | s(1),
-                        Opcode::Xor => s(0) ^ s(1),
-                        Opcode::Slt => (s(0) < s(1)) as i64,
-                        Opcode::Sle => (s(0) <= s(1)) as i64,
-                        Opcode::Seq => (s(0) == s(1)) as i64,
-                        Opcode::Sne => (s(0) != s(1)) as i64,
-                        Opcode::Bool => (s(0) != 0) as i64,
-                        Opcode::Mux => {
-                            if s(0) != 0 {
-                                s(1)
-                            } else {
-                                s(2)
-                            }
-                        }
-                        Opcode::Cvt | Opcode::Mov => s(0),
-                        Opcode::Lut => {
-                            let idx = s(0);
-                            let t = &self.nl.roms[*imm as usize];
-                            if idx < 0 {
-                                0
-                            } else {
-                                t.elem.wrap(t.data.get(idx as usize).copied().unwrap_or(0))
-                            }
-                        }
-                        other => {
-                            return Err(SimError(format!(
-                                "opcode {other} cannot appear in a netlist"
-                            )))
-                        }
+                    let mut s = [0i64; 3];
+                    for (slot, src) in s.iter_mut().zip(srcs) {
+                        *slot = vals[src.0 as usize];
                     }
+                    let value = match op {
+                        // The wire wrap below does the narrowing.
+                        Opcode::Cvt => Ok(s[0]),
+                        Opcode::Lut => {
+                            let t = &self.nl.roms[*imm as usize];
+                            ops::lut(&t.data, s[0]).map(|v| t.elem.wrap(v))
+                        }
+                        op => op.eval(&s).ok_or_else(|| {
+                            SimError(format!("opcode {op} cannot appear in a netlist"))
+                        })?,
+                    };
+                    // The zero divisor only matters if a *valid* iteration
+                    // occupies the divider's own stage; garbage bubbles are
+                    // benign.
+                    value.or_else(|f| {
+                        let stage = self.stages[i] as usize;
+                        on_fault(f, s[0], occ.get(stage).copied().unwrap_or(false))
+                    })?
                 }
             };
             let wire = IntType {
@@ -398,5 +370,28 @@ mod tests {
         let src = "const uint16 tab[4] = {7, 14, 21, 28};
           void f(uint2 i, uint16* o) { *o = tab[i]; }";
         check_against_golden(src, "f", 1000.0, &[vec![0], vec![1], vec![2], vec![3]]);
+    }
+
+    #[test]
+    fn narrow_output_ports_wrap_like_c() {
+        check_against_golden(
+            "void f(uint8 a, uint8 b, uint8* o) { *o = a * b + 17; }",
+            "f",
+            8.0,
+            &[vec![255, 255], vec![16, 16], vec![0, 9]],
+        );
+    }
+
+    #[test]
+    fn mul_acc_style_predication() {
+        check_against_golden(
+            "void f(uint1 nd, int12 a, int12 b, int* o) {
+               int p = 0;
+               if (nd) { p = a * b; }
+               *o = p + 1; }",
+            "f",
+            8.0,
+            &[vec![1, 100, -100], vec![0, 100, -100], vec![1, 2047, 2047]],
+        );
     }
 }

@@ -12,6 +12,8 @@
 
 use std::collections::HashMap;
 
+use roccc_cparse::ops::MAX_SHIFT;
+
 use crate::sat::{SatStats, SolveResult, Solver};
 use crate::term::{TOp, Term, TermId, TermStore};
 
@@ -410,7 +412,7 @@ impl<'a> Blaster<'a> {
             TOp::Shr => {
                 if let Term::Const(k) = *self.store.term(args[1]) {
                     let a = self.blast(args[0]);
-                    let k = k.clamp(0, 63) as usize;
+                    let k = k.clamp(0, MAX_SHIFT) as usize;
                     let mut out = [self.fls(); W];
                     for i in 0..W {
                         out[i] = a[(i + k).min(W - 1)];

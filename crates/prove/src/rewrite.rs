@@ -24,6 +24,7 @@
 
 use std::collections::HashMap;
 
+use roccc_cparse::ops::MAX_SHIFT;
 use roccc_cparse::types::IntType;
 
 use crate::term::{TOp, Term, TermId, TermStore};
@@ -134,7 +135,7 @@ pub fn normalize(store: &mut TermStore, t: TermId, care: u8, cache: &mut NormCac
                     // context to `care + k`; dynamic amounts stay exact.
                     let a = n(store, cache, args[1], 64);
                     let care_x = match *store.term(a) {
-                        Term::Const(k) if (0..=63).contains(&k) => {
+                        Term::Const(k) if (0..=MAX_SHIFT).contains(&k) => {
                             care.saturating_add(k as u8).min(64)
                         }
                         _ => 64,

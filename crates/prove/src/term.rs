@@ -27,6 +27,7 @@
 
 use std::collections::HashMap;
 
+use roccc_cparse::ops::{self, Fault, MAX_SHIFT};
 use roccc_cparse::types::IntType;
 
 /// Index of a term in its [`TermStore`].
@@ -51,7 +52,7 @@ pub enum TOp {
     Not,
     /// `!= 0` coercion to 0/1.
     Bool,
-    /// Shift-amount clamp to `0..=63` (both machines clamp; the IR faults
+    /// Shift-amount clamp to `0..=MAX_SHIFT` (both machines clamp; the IR faults
     /// on negative amounts, so equivalence is conditioned on no-fault runs).
     ShAmt,
     /// Left shift by a clamped dynamic amount (constant shifts become `Mul`).
@@ -232,18 +233,18 @@ impl TermStore {
         let mut stack = args;
         while let Some(a) = stack.pop() {
             match self.term(a).clone() {
-                Term::Const(v) => konst = konst.wrapping_add(v),
+                Term::Const(v) => konst = ops::add(konst, v),
                 Term::Op { op: TOp::Add, args } => stack.extend(args),
                 Term::Op { op: TOp::Neg, args } => {
                     self.steps += 1;
                     let (c, base) = self.coeff_of(args[0]);
                     let e = coeffs.entry(base).or_insert(0);
-                    *e = e.wrapping_sub(c);
+                    *e = ops::sub(*e, c);
                 }
                 _ => {
                     let (c, base) = self.coeff_of(a);
                     let e = coeffs.entry(base).or_insert(0);
-                    *e = e.wrapping_add(c);
+                    *e = ops::add(*e, c);
                 }
             }
         }
@@ -305,7 +306,7 @@ impl TermStore {
         match self.term(a).clone() {
             Term::Const(v) => {
                 self.steps += 1;
-                self.cst(v.wrapping_neg())
+                self.cst(ops::neg(v))
             }
             Term::Op { op: TOp::Neg, args } => {
                 self.steps += 1;
@@ -318,7 +319,7 @@ impl TermStore {
             }
             Term::Op { op: TOp::Mul, args } if self.as_const(args[0]).is_some() => {
                 self.steps += 1;
-                let c = self.as_const(args[0]).unwrap().wrapping_neg();
+                let c = ops::neg(self.as_const(args[0]).unwrap());
                 let mut v = vec![self.cst(c)];
                 v.extend_from_slice(&args[1..]);
                 self.mul(v)
@@ -341,11 +342,11 @@ impl TermStore {
         let mut stack = args;
         while let Some(a) = stack.pop() {
             match self.term(a).clone() {
-                Term::Const(v) => konst = konst.wrapping_mul(v),
+                Term::Const(v) => konst = ops::mul(konst, v),
                 Term::Op { op: TOp::Mul, args } => stack.extend(args),
                 Term::Op { op: TOp::Neg, args } => {
                     self.steps += 1;
-                    konst = konst.wrapping_neg();
+                    konst = ops::neg(konst);
                     stack.push(args[0]);
                 }
                 _ => factors.push(a),
@@ -397,9 +398,9 @@ impl TermStore {
             match self.term(a).clone() {
                 Term::Const(v) => {
                     konst = match op {
-                        TOp::And => konst & v,
-                        TOp::Or => konst | v,
-                        _ => konst ^ v,
+                        TOp::And => ops::and(konst, v),
+                        TOp::Or => ops::or(konst, v),
+                        _ => ops::xor(konst, v),
                     }
                 }
                 Term::Op { op: o2, args } if o2 == op => stack.extend(args),
@@ -447,7 +448,7 @@ impl TermStore {
         match self.term(a).clone() {
             Term::Const(v) => {
                 self.steps += 1;
-                self.cst(!v)
+                self.cst(ops::not(v))
             }
             Term::Op { op: TOp::Not, args } => {
                 self.steps += 1;
@@ -464,7 +465,7 @@ impl TermStore {
     pub fn boolify(&mut self, a: TermId) -> TermId {
         if let Some(v) = self.as_const(a) {
             self.steps += 1;
-            return self.cst((v != 0) as i64);
+            return self.cst(ops::truth(v));
         }
         if let Some((lo, hi)) = self.interval(a) {
             if lo >= 0 && hi <= 1 {
@@ -478,18 +479,18 @@ impl TermStore {
         })
     }
 
-    /// Clamp a dynamic shift amount to `0..=63`.
+    /// Clamp a dynamic shift amount to `0..=MAX_SHIFT`.
     pub fn sh_amt(&mut self, a: TermId) -> TermId {
         if let Some(v) = self.as_const(a) {
             self.steps += 1;
-            return self.cst(v.clamp(0, 63));
+            return self.cst(sh_amt_value(v));
         }
         if matches!(self.term(a), Term::Op { op: TOp::ShAmt, .. }) {
             self.steps += 1;
             return a;
         }
         if let Some((lo, hi)) = self.interval(a) {
-            if lo >= 0 && hi <= 63 {
+            if lo >= 0 && hi <= MAX_SHIFT as i128 {
                 self.steps += 1;
                 return a;
             }
@@ -505,8 +506,7 @@ impl TermStore {
     pub fn shl(&mut self, x: TermId, amt: TermId) -> TermId {
         if let Some(k) = self.as_const(amt) {
             self.steps += 1;
-            let k = k.clamp(0, 63) as u32;
-            let f = self.cst(1i64.wrapping_shl(k));
+            let f = self.cst(shift(ops::shl, 1, k));
             return self.mul(vec![f, x]);
         }
         let amt = self.sh_amt(amt);
@@ -525,7 +525,7 @@ impl TermStore {
         let amt = self.sh_amt(amt);
         if let (Some(v), Some(k)) = (self.as_const(x), self.as_const(amt)) {
             self.steps += 1;
-            return self.cst(v >> (k.clamp(0, 63) as u32));
+            return self.cst(shift(ops::shr, v, k));
         }
         if self.as_const(x) == Some(0) || self.as_const(x) == Some(-1) {
             self.steps += 1;
@@ -615,11 +615,7 @@ impl TermStore {
         if let Some(i) = self.as_const(idx) {
             self.steps += 1;
             let data = &self.luts[table as usize];
-            let v = if i < 0 {
-                0
-            } else {
-                data.get(i as usize).copied().unwrap_or(0)
-            };
+            let v = settle(ops::lut(data, i), i).unwrap_or(0);
             return self.cst(v);
         }
         self.mk(Term::Op {
@@ -769,7 +765,7 @@ impl TermStore {
                 Some((lo, (1i128 << m) - 1))
             }
             TOp::Slt | TOp::Sle | TOp::Seq | TOp::Sne | TOp::Bool => Some((0, 1)),
-            TOp::ShAmt => Some((0, 63)),
+            TOp::ShAmt => Some((0, MAX_SHIFT as i128)),
             TOp::Mux => {
                 let (mut tl, th) = self.interval(args[1])?;
                 let (el, eh) = self.interval(args[2])?;
@@ -796,7 +792,7 @@ impl TermStore {
                 // division by 2^k), so the bounds shift with the operand
                 // regardless of sign.
                 if let Term::Const(k) = *self.term(args[1]) {
-                    let k = k.clamp(0, 63) as u32;
+                    let k = sh_amt_value(k);
                     return Some((l >> k, h >> k));
                 }
                 if l >= 0 {
@@ -972,77 +968,61 @@ impl TermStore {
     }
 }
 
+/// The netlist fault policy, which the term semantics follow (the IR side
+/// is conditioned on fault-free runs): a negative shift amount shifts by 0,
+/// so `lhs` passes through, and a negative LUT index reads 0. A zero divisor
+/// has no value here; the concrete evaluator reads it as 0.
+fn settle(r: Result<i64, Fault>, lhs: i64) -> Option<i64> {
+    match r {
+        Ok(v) => Some(v),
+        Err(Fault::NegativeShift) => Some(lhs),
+        Err(Fault::NegativeLutIndex) => Some(0),
+        Err(Fault::DivByZero | Fault::RemByZero) => None,
+    }
+}
+
+/// A shift under [`settle`], which never leaves it without a value.
+fn shift(op: impl Fn(i64, i64) -> Result<i64, Fault>, x: i64, amt: i64) -> i64 {
+    settle(op(x, amt), x).unwrap_or(x)
+}
+
+/// The amount a netlist shifter moves bits by, as [`TOp::ShAmt`] denotes:
+/// a negative amount shifts by 0, as in [`settle`].
+fn sh_amt_value(v: i64) -> i64 {
+    ops::shift_amount(v).map_or(0, i64::from)
+}
+
 /// Constant folding for binary non-AC ops; `None` when undefined (faulting).
 fn fold2(op: TOp, a: i64, b: i64) -> Option<i64> {
-    Some(match op {
-        TOp::Div => {
-            if b == 0 {
-                return None;
-            }
-            a.wrapping_div(b)
-        }
-        TOp::Rem => {
-            if b == 0 {
-                return None;
-            }
-            a.wrapping_rem(b)
-        }
-        TOp::Slt => (a < b) as i64,
-        TOp::Sle => (a <= b) as i64,
-        TOp::Seq => (a == b) as i64,
-        TOp::Sne => (a != b) as i64,
-        TOp::Shl => a.wrapping_shl(b.clamp(0, 63) as u32),
-        TOp::Shr => a >> (b.clamp(0, 63) as u32),
-        _ => return None,
-    })
+    match op {
+        TOp::Div => settle(ops::div(a, b), a),
+        TOp::Rem => settle(ops::rem(a, b), a),
+        TOp::Slt => Some(ops::lt(a, b)),
+        TOp::Sle => Some(ops::le(a, b)),
+        TOp::Seq => Some(ops::eq(a, b)),
+        TOp::Sne => Some(ops::ne(a, b)),
+        TOp::Shl => Some(shift(ops::shl, a, b)),
+        TOp::Shr => Some(shift(ops::shr, a, b)),
+        _ => None,
+    }
 }
 
 /// Operator semantics for the concrete evaluator.
 fn eval_op(op: TOp, xs: &[i64], luts: &[Vec<i64>]) -> i64 {
     match op {
-        TOp::Add => xs.iter().fold(0i64, |a, &b| a.wrapping_add(b)),
-        TOp::Mul => xs.iter().fold(1i64, |a, &b| a.wrapping_mul(b)),
-        TOp::And => xs.iter().fold(-1i64, |a, &b| a & b),
-        TOp::Or => xs.iter().fold(0i64, |a, &b| a | b),
-        TOp::Xor => xs.iter().fold(0i64, |a, &b| a ^ b),
-        TOp::Neg => xs[0].wrapping_neg(),
-        TOp::Not => !xs[0],
-        TOp::Bool => (xs[0] != 0) as i64,
-        TOp::ShAmt => xs[0].clamp(0, 63),
-        TOp::Shl => xs[0].wrapping_shl(xs[1].clamp(0, 63) as u32),
-        TOp::Shr => xs[0] >> (xs[1].clamp(0, 63) as u32),
-        TOp::Div => {
-            if xs[1] == 0 {
-                0
-            } else {
-                xs[0].wrapping_div(xs[1])
-            }
-        }
-        TOp::Rem => {
-            if xs[1] == 0 {
-                0
-            } else {
-                xs[0].wrapping_rem(xs[1])
-            }
-        }
-        TOp::Slt => (xs[0] < xs[1]) as i64,
-        TOp::Sle => (xs[0] <= xs[1]) as i64,
-        TOp::Seq => (xs[0] == xs[1]) as i64,
-        TOp::Sne => (xs[0] != xs[1]) as i64,
-        TOp::Mux => {
-            if xs[0] != 0 {
-                xs[1]
-            } else {
-                xs[2]
-            }
-        }
-        TOp::Lut(t) => {
-            let i = xs[0];
-            if i < 0 {
-                0
-            } else {
-                luts[t as usize].get(i as usize).copied().unwrap_or(0)
-            }
+        TOp::Add => xs.iter().fold(0, |a, &b| ops::add(a, b)),
+        TOp::Mul => xs.iter().fold(1, |a, &b| ops::mul(a, b)),
+        TOp::And => xs.iter().fold(-1, |a, &b| ops::and(a, b)),
+        TOp::Or => xs.iter().fold(0, |a, &b| ops::or(a, b)),
+        TOp::Xor => xs.iter().fold(0, |a, &b| ops::xor(a, b)),
+        TOp::Neg => ops::neg(xs[0]),
+        TOp::Not => ops::not(xs[0]),
+        TOp::Bool => ops::truth(xs[0]),
+        TOp::ShAmt => sh_amt_value(xs[0]),
+        TOp::Mux => ops::select(xs[0], xs[1], xs[2]),
+        TOp::Lut(t) => settle(ops::lut(&luts[t as usize], xs[0]), xs[0]).unwrap_or(0),
+        TOp::Div | TOp::Rem | TOp::Slt | TOp::Sle | TOp::Seq | TOp::Sne | TOp::Shl | TOp::Shr => {
+            fold2(op, xs[0], xs[1]).unwrap_or(0)
         }
     }
 }

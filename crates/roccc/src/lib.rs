@@ -974,78 +974,6 @@ pub fn identify_kernels(
     Ok(interp.profile())
 }
 
-/// Result of [`compile_with_area_budget`].
-#[derive(Debug, Clone)]
-pub struct BudgetedCompile {
-    /// The selected compilation.
-    pub compiled: Compiled,
-    /// The unroll factor chosen (1 = no unrolling).
-    pub factor: u64,
-    /// Estimated slices of the chosen configuration.
-    pub estimated_slices: u64,
-}
-
-/// Chooses the largest power-of-two unroll factor whose estimated area
-/// fits `budget_slices`, using the sub-millisecond fast estimator — the
-/// paper's §2 flow: "Loop unrolling for FPGAs requires compile time area
-/// estimation".
-///
-/// Factors 1, 2, 4, … are tried until the estimate exceeds the budget or
-/// the loop is fully unrolled; the last fitting configuration wins.
-///
-/// # Errors
-///
-/// Returns a [`CompileError`] if even the un-unrolled kernel fails to
-/// compile; estimation failures at larger factors just stop the search.
-pub fn compile_with_area_budget(
-    source: &str,
-    func: &str,
-    opts: &CompileOptions,
-    budget_slices: u64,
-) -> Result<BudgetedCompile, CompileError> {
-    let model = roccc_synth::VirtexII::default();
-    let mut best: Option<BudgetedCompile> = None;
-    let mut factor = 1u64;
-    loop {
-        let attempt_opts = CompileOptions {
-            unroll: if factor == 1 {
-                UnrollStrategy::Keep
-            } else {
-                UnrollStrategy::Partial(factor)
-            },
-            ..opts.clone()
-        };
-        let compiled = match compile_with_model(source, func, &attempt_opts, &model) {
-            Ok(c) => c,
-            Err(e) => match best {
-                Some(b) => return Ok(b),
-                None => return Err(e),
-            },
-        };
-        let est = roccc_synth::fast_estimate(&compiled.datapath, &model);
-        let iterations = compiled.kernel.total_iterations();
-        if est.slices <= budget_slices || best.is_none() {
-            let done = est.slices > budget_slices;
-            best = Some(BudgetedCompile {
-                compiled,
-                factor,
-                estimated_slices: est.slices,
-            });
-            if done {
-                // Even factor 1 blows the budget: report it and stop.
-                break;
-            }
-        } else {
-            break;
-        }
-        if iterations <= 1 || factor >= 64 {
-            break;
-        }
-        factor *= 2;
-    }
-    Ok(best.expect("loop sets best before breaking"))
-}
-
 pub use roccc_cparse::{interp::Interpreter, CResult};
 pub use roccc_datapath::graph::NodeKind;
 pub use roccc_datapath::width_bits_saved;
@@ -1208,29 +1136,6 @@ mod tests {
         let ranked = identify_kernels(src, "app", &[5], &mut HashMap::new()).unwrap();
         assert_eq!(ranked[0].0, "hot");
         assert!(ranked[0].1 > 50 * ranked.iter().find(|(n, _)| n == "cold").unwrap().1);
-    }
-
-    #[test]
-    fn area_budget_drives_unroll_factor() {
-        let src = "void scale(int16 A[64], int16 B[64]) { int i;
-          for (i = 0; i < 64; i++) { B[i] = A[i] * 11 + 3; } }";
-        let tight = compile_with_area_budget(src, "scale", &CompileOptions::default(), 60).unwrap();
-        let loose =
-            compile_with_area_budget(src, "scale", &CompileOptions::default(), 100_000).unwrap();
-        assert!(
-            loose.factor > tight.factor,
-            "loose budget should unroll more: {} vs {}",
-            loose.factor,
-            tight.factor
-        );
-        assert!(tight.estimated_slices <= 60 || tight.factor == 1);
-        // The chosen configuration still computes correctly.
-        let a: Vec<i64> = (0..64).collect();
-        let mut arrays = HashMap::new();
-        arrays.insert("A".to_string(), a.clone());
-        let run = loose.compiled.run(&arrays, &HashMap::new()).unwrap();
-        let expect: Vec<i64> = a.iter().map(|x| x * 11 + 3).collect();
-        assert_eq!(run.arrays["B"], expect);
     }
 
     #[test]

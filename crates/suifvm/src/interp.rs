@@ -7,10 +7,17 @@
 
 use crate::ir::*;
 use roccc_cparse::error::{CError, CResult, Stage};
+use roccc_cparse::ops::{self, Fault};
 use roccc_cparse::span::Span;
 
 fn rt(msg: impl Into<String>) -> CError {
     CError::new(Stage::Interp, Span::dummy(), msg)
+}
+
+/// The IR machine traps on every operator fault, like the golden
+/// interpreter.
+fn fault(f: Fault) -> CError {
+    rt(f.to_string())
 }
 
 /// Executes a VM IR function, holding feedback state between runs.
@@ -84,81 +91,31 @@ impl<'f> IrMachine<'f> {
             }
 
             for i in &block.instrs {
-                let read = |r: VReg| -> CResult<i64> {
-                    regs[r.0 as usize].ok_or_else(|| rt(format!("use of undefined {r}")))
-                };
-                let val: Option<i64> = match i.op {
-                    Opcode::Arg => Some(self.f.inputs[i.imm as usize].1.wrap(args[i.imm as usize])),
-                    Opcode::Ldc => Some(i.imm),
-                    Opcode::Mov => Some(read(i.srcs[0])?),
-                    Opcode::Cvt => Some(i.ty.wrap(read(i.srcs[0])?)),
-                    Opcode::Add => Some(read(i.srcs[0])?.wrapping_add(read(i.srcs[1])?)),
-                    Opcode::Sub => Some(read(i.srcs[0])?.wrapping_sub(read(i.srcs[1])?)),
-                    Opcode::Mul => Some(read(i.srcs[0])?.wrapping_mul(read(i.srcs[1])?)),
-                    Opcode::Div => {
-                        let d = read(i.srcs[1])?;
-                        if d == 0 {
-                            return Err(rt("division by zero"));
+                let mut s = [0i64; 3];
+                for (slot, r) in s.iter_mut().zip(&i.srcs) {
+                    *slot =
+                        regs[r.0 as usize].ok_or_else(|| rt(format!("use of undefined {r}")))?;
+                }
+                let val: Option<i64> = match i.op.eval(&s) {
+                    Some(v) => Some(v.map_err(fault)?),
+                    None => match i.op {
+                        Opcode::Arg => {
+                            Some(self.f.inputs[i.imm as usize].1.wrap(args[i.imm as usize]))
                         }
-                        Some(read(i.srcs[0])?.wrapping_div(d))
-                    }
-                    Opcode::Rem => {
-                        let d = read(i.srcs[1])?;
-                        if d == 0 {
-                            return Err(rt("remainder by zero"));
+                        Opcode::Ldc => Some(i.imm),
+                        Opcode::Cvt => Some(i.ty.wrap(s[0])),
+                        Opcode::Lpr => Some(self.feedback[i.imm as usize]),
+                        Opcode::Snx => {
+                            next_feedback[i.imm as usize] =
+                                self.f.feedback[i.imm as usize].ty.wrap(s[0]);
+                            None
                         }
-                        Some(read(i.srcs[0])?.wrapping_rem(d))
-                    }
-                    Opcode::Neg => Some(read(i.srcs[0])?.wrapping_neg()),
-                    Opcode::Not => Some(!read(i.srcs[0])?),
-                    Opcode::Shl => {
-                        let amt = read(i.srcs[1])?;
-                        if amt < 0 {
-                            return Err(rt("negative shift amount"));
+                        Opcode::Lut => {
+                            let table = &self.f.luts[i.imm as usize];
+                            Some(table.elem.wrap(ops::lut(&table.data, s[0]).map_err(fault)?))
                         }
-                        Some(read(i.srcs[0])?.wrapping_shl(amt.min(63) as u32))
-                    }
-                    Opcode::Shr => {
-                        let amt = read(i.srcs[1])?;
-                        if amt < 0 {
-                            return Err(rt("negative shift amount"));
-                        }
-                        Some(read(i.srcs[0])?.wrapping_shr(amt.min(63) as u32))
-                    }
-                    Opcode::And => Some(read(i.srcs[0])? & read(i.srcs[1])?),
-                    Opcode::Or => Some(read(i.srcs[0])? | read(i.srcs[1])?),
-                    Opcode::Xor => Some(read(i.srcs[0])? ^ read(i.srcs[1])?),
-                    Opcode::Slt => Some((read(i.srcs[0])? < read(i.srcs[1])?) as i64),
-                    Opcode::Sle => Some((read(i.srcs[0])? <= read(i.srcs[1])?) as i64),
-                    Opcode::Seq => Some((read(i.srcs[0])? == read(i.srcs[1])?) as i64),
-                    Opcode::Sne => Some((read(i.srcs[0])? != read(i.srcs[1])?) as i64),
-                    Opcode::Bool => Some((read(i.srcs[0])? != 0) as i64),
-                    Opcode::Mux => {
-                        let c = read(i.srcs[0])?;
-                        Some(if c != 0 {
-                            read(i.srcs[1])?
-                        } else {
-                            read(i.srcs[2])?
-                        })
-                    }
-                    Opcode::Lpr => Some(self.feedback[i.imm as usize]),
-                    Opcode::Snx => {
-                        let v = read(i.srcs[0])?;
-                        next_feedback[i.imm as usize] = self.f.feedback[i.imm as usize].ty.wrap(v);
-                        None
-                    }
-                    Opcode::Lut => {
-                        let idx = read(i.srcs[0])?;
-                        if idx < 0 {
-                            return Err(rt("negative LUT index"));
-                        }
-                        let table = &self.f.luts[i.imm as usize];
-                        Some(
-                            table
-                                .elem
-                                .wrap(table.data.get(idx as usize).copied().unwrap_or(0)),
-                        )
-                    }
+                        op => return Err(rt(format!("opcode {op} has no operator value"))),
+                    },
                 };
                 if let (Some(d), Some(v)) = (i.dst, val) {
                     // Instruction result types are value-preserving by the

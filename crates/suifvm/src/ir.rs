@@ -12,6 +12,7 @@
 
 use roccc_cparse::inline_vec::InlineVec;
 use roccc_cparse::intern::Symbol;
+use roccc_cparse::ops::{self, Fault};
 use roccc_cparse::types::IntType;
 use std::fmt;
 
@@ -70,7 +71,8 @@ pub enum Opcode {
     Not,
     /// Shift left (amount = src1).
     Shl,
-    /// Shift right (arithmetic when `ty.signed`, logical otherwise).
+    /// Shift right (amount = src1); arithmetic on the `i64` carrier, see
+    /// [`roccc_cparse::ops`].
     Shr,
     /// Bitwise and.
     And,
@@ -124,6 +126,42 @@ impl Opcode {
     /// Whether the instruction has side effects and must never be removed.
     pub fn has_side_effects(&self) -> bool {
         matches!(self, Opcode::Snx)
+    }
+
+    /// The value of this opcode over its operand words `s`, from the shared
+    /// operator table [`roccc_cparse::ops`]. `None` for the opcodes whose
+    /// value needs a type, a table or state, which their executor computes:
+    /// `Arg`, `Ldc`, `Cvt`, `Lpr`, `Snx` and `Lut`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` is shorter than the opcode's operand count.
+    #[inline]
+    pub fn eval(self, s: &[i64]) -> Option<Result<i64, Fault>> {
+        Some(Ok(match self {
+            Opcode::Mov => s[0],
+            Opcode::Add => ops::add(s[0], s[1]),
+            Opcode::Sub => ops::sub(s[0], s[1]),
+            Opcode::Mul => ops::mul(s[0], s[1]),
+            Opcode::Div => return Some(ops::div(s[0], s[1])),
+            Opcode::Rem => return Some(ops::rem(s[0], s[1])),
+            Opcode::Neg => ops::neg(s[0]),
+            Opcode::Not => ops::not(s[0]),
+            Opcode::Shl => return Some(ops::shl(s[0], s[1])),
+            Opcode::Shr => return Some(ops::shr(s[0], s[1])),
+            Opcode::And => ops::and(s[0], s[1]),
+            Opcode::Or => ops::or(s[0], s[1]),
+            Opcode::Xor => ops::xor(s[0], s[1]),
+            Opcode::Slt => ops::lt(s[0], s[1]),
+            Opcode::Sle => ops::le(s[0], s[1]),
+            Opcode::Seq => ops::eq(s[0], s[1]),
+            Opcode::Sne => ops::ne(s[0], s[1]),
+            Opcode::Bool => ops::truth(s[0]),
+            Opcode::Mux => ops::select(s[0], s[1], s[2]),
+            Opcode::Arg | Opcode::Ldc | Opcode::Cvt | Opcode::Lpr | Opcode::Snx | Opcode::Lut => {
+                return None
+            }
+        }))
     }
 }
 

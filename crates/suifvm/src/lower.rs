@@ -23,6 +23,7 @@ use roccc_cparse::ast::{
     StmtKind, UnOp,
 };
 use roccc_cparse::error::{CError, CResult, Stage};
+use roccc_cparse::ops::MAX_SHIFT;
 use roccc_cparse::span::Span;
 use roccc_cparse::types::{CType, IntType};
 use roccc_hlir::kernel::FeedbackVar;
@@ -91,8 +92,8 @@ pub fn result_type(op: BinOp, l: IntType, r: IntType, rhs_const: Option<i64>) ->
         },
         BinOp::Shl => {
             let extra = match rhs_const {
-                Some(c) if c >= 0 => (c as u8).min(63),
-                _ => 63,
+                Some(c) if c >= 0 => (c as u8).min(MAX_SHIFT as u8),
+                _ => MAX_SHIFT as u8,
             };
             IntType {
                 signed: l.signed,

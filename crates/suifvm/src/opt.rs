@@ -9,6 +9,7 @@
 use crate::dataflow::use_marks;
 use crate::dom::DomInfo;
 use crate::ir::*;
+use roccc_cparse::ops;
 use roccc_cparse::types::IntType;
 use std::collections::HashMap;
 
@@ -114,46 +115,21 @@ pub fn constant_fold(f: &mut FunctionIr) -> bool {
 
             // Full constant evaluation.
             let folded: Option<i64> = match i.op {
-                Opcode::Add => c(0).zip(c(1)).map(|(a, b)| a.wrapping_add(b)),
-                Opcode::Sub => c(0).zip(c(1)).map(|(a, b)| a.wrapping_sub(b)),
-                Opcode::Mul => c(0).zip(c(1)).map(|(a, b)| a.wrapping_mul(b)),
-                Opcode::Div => match (c(0), c(1)) {
-                    (Some(a), Some(b)) if b != 0 => Some(a.wrapping_div(b)),
-                    _ => None,
-                },
-                Opcode::Rem => match (c(0), c(1)) {
-                    (Some(a), Some(b)) if b != 0 => Some(a.wrapping_rem(b)),
-                    _ => None,
-                },
-                Opcode::Neg => c(0).map(|a| a.wrapping_neg()),
-                Opcode::Not => c(0).map(|a| !a),
-                Opcode::Shl => match (c(0), c(1)) {
-                    (Some(a), Some(b)) if b >= 0 => Some(a.wrapping_shl(b.min(63) as u32)),
-                    _ => None,
-                },
-                Opcode::Shr => match (c(0), c(1)) {
-                    (Some(a), Some(b)) if b >= 0 => Some(a.wrapping_shr(b.min(63) as u32)),
-                    _ => None,
-                },
-                Opcode::And => c(0).zip(c(1)).map(|(a, b)| a & b),
-                Opcode::Or => c(0).zip(c(1)).map(|(a, b)| a | b),
-                Opcode::Xor => c(0).zip(c(1)).map(|(a, b)| a ^ b),
-                Opcode::Slt => c(0).zip(c(1)).map(|(a, b)| (a < b) as i64),
-                Opcode::Sle => c(0).zip(c(1)).map(|(a, b)| (a <= b) as i64),
-                Opcode::Seq => c(0).zip(c(1)).map(|(a, b)| (a == b) as i64),
-                Opcode::Sne => c(0).zip(c(1)).map(|(a, b)| (a != b) as i64),
-                Opcode::Bool => c(0).map(|a| (a != 0) as i64),
                 Opcode::Cvt => c(0).map(|a| i.ty.wrap(a)),
-                Opcode::Mux => c(0).and_then(|sel| if sel != 0 { c(1) } else { c(2) }),
+                Opcode::Mux => c(0).and_then(|sel| c(if sel != 0 { 1 } else { 2 })),
                 Opcode::Lut => c(0).and_then(|idx| {
-                    if idx < 0 {
-                        None
-                    } else {
-                        let t = &f.luts[i.imm as usize];
-                        Some(t.elem.wrap(t.data.get(idx as usize).copied().unwrap_or(0)))
-                    }
+                    let t = &f.luts[i.imm as usize];
+                    ops::lut(&t.data, idx).ok().map(|v| t.elem.wrap(v))
                 }),
-                _ => None,
+                Opcode::Mov => None,
+                // A faulting operation stays in place for the executor.
+                op => (0..i.srcs.len())
+                    .try_fold([0i64; 3], |mut s, k| {
+                        s[k] = c(k)?;
+                        Some(s)
+                    })
+                    .and_then(|s| op.eval(&s))
+                    .and_then(Result::ok),
             };
             if let Some(v) = folded {
                 f.blocks[bi].instrs[ii] = Instr::new(Opcode::Ldc, dst, vec![], v, i.ty);

@@ -24,6 +24,7 @@
 //! the full `i64` interval ([`ValueRange::top`]).
 
 use crate::ir::*;
+use roccc_cparse::ops::MAX_SHIFT;
 use roccc_cparse::types::IntType;
 use std::collections::{HashMap, HashSet};
 
@@ -760,9 +761,10 @@ fn rem_range(a: &ValueRange, b: &ValueRange) -> ValueRange {
 }
 
 fn shl_range(a: &ValueRange, amt: &ValueRange) -> ValueRange {
-    // Negative shift amounts are runtime errors; amounts clamp at 63.
-    let klo = amt.lo.clamp(0, 63) as u32;
-    let khi = amt.hi.clamp(0, 63) as u32;
+    // Negative shift amounts are runtime errors; amounts saturate at
+    // `MAX_SHIFT`.
+    let klo = amt.lo.clamp(0, MAX_SHIFT) as u32;
+    let khi = amt.hi.clamp(0, MAX_SHIFT) as u32;
     let mut lo = i64::MAX;
     let mut hi = i64::MIN;
     for x in [a.lo, a.hi] {
@@ -796,8 +798,8 @@ fn shl_range(a: &ValueRange, amt: &ValueRange) -> ValueRange {
 }
 
 fn shr_range(a: &ValueRange, amt: &ValueRange) -> ValueRange {
-    let klo = amt.lo.clamp(0, 63) as u32;
-    let khi = amt.hi.clamp(0, 63) as u32;
+    let klo = amt.lo.clamp(0, MAX_SHIFT) as u32;
+    let khi = amt.hi.clamp(0, MAX_SHIFT) as u32;
     let mut lo = i64::MAX;
     let mut hi = i64::MIN;
     for x in [a.lo, a.hi] {

@@ -73,12 +73,24 @@ rm -f "${out}"
 echo "==> table1 smoke"
 cargo run --release -p roccc-bench --bin table1 >/dev/null
 
-echo "==> bench_width smoke (range-driven narrowing on Table 1)"
+echo "==> operator semantics: one definition (crates/cparse/src/ops.rs)"
+# Operator arithmetic lives in the `ops` table only; every other executor
+# calls it. An open-coded divide, remainder or shift clamp is a second
+# definition that can drift from the first.
+copies="$(grep -rnE 'wrapping_div|wrapping_rem|clamp\(0, 63\)' crates/*/src \
+  | grep -v '^crates/cparse/src/ops.rs:' || true)"
+if [ -n "${copies}" ]; then
+  echo "one definition: operator arithmetic outside crates/cparse/src/ops.rs:" >&2
+  printf '%s\n' "${copies}" >&2
+  exit 1
+fi
+
+echo "==> bench_width byte-identical (range-driven narrowing on Table 1)"
 width_out="$(mktemp -t bench_width_smoke.XXXXXX.json)"
 cargo run --release -p roccc-bench --bin bench_width -- --out "${width_out}" \
   >/dev/null
-grep -q '"benchmark": "width-narrowing"' "${width_out}" \
-  || { echo "bench_width smoke: bad JSON" >&2; exit 1; }
+cmp "${width_out}" BENCH_width.json \
+  || { echo "bench_width: output differs from BENCH_width.json" >&2; exit 1; }
 rm -f "${width_out}"
 
 echo "==> deps smoke (MinII artifacts, L-code gating, bench_ii)"
@@ -122,10 +134,8 @@ grep -q 'L012-overlapping-writes' "${bad_deps_log}" \
 rm -f "${deps_src}" "${bad_deps_src}" "${bad_deps_log}"
 ii_out="$(mktemp -t bench_ii_smoke.XXXXXX.json)"
 cargo run --release -p roccc-bench --bin bench_ii -- --out "${ii_out}" >/dev/null
-grep -q '"benchmark": "min-ii"' "${ii_out}" \
-  || { echo "bench_ii smoke: bad JSON" >&2; exit 1; }
-grep -q '"min_ii"' "${ii_out}" \
-  || { echo "bench_ii smoke: missing min_ii field" >&2; exit 1; }
+cmp "${ii_out}" BENCH_ii.json \
+  || { echo "bench_ii: output differs from BENCH_ii.json" >&2; exit 1; }
 rm -f "${ii_out}"
 
 echo "==> schedule smoke (modulo scheduling, M-code gating)"
@@ -229,14 +239,14 @@ grep -q 'E004-malformed-certificate' "${prove_log}" \
 cargo run --release --example prove_smoke >/dev/null
 rm -f "${prove_src}" "${prove_log}"
 
-echo "==> bench_prove smoke (certification cost on Table 1)"
+echo "==> bench_prove identical apart from wall_ms (certification on Table 1)"
 prove_out="$(mktemp -t bench_prove_smoke.XXXXXX.json)"
 cargo run --release -p roccc-bench --bin bench_prove -- --out "${prove_out}" \
   >/dev/null
-grep -q '"benchmark": "prove"' "${prove_out}" \
-  || { echo "bench_prove smoke: bad JSON" >&2; exit 1; }
-grep -q '"proved_sat"' "${prove_out}" \
-  || { echo "bench_prove smoke: missing proved_sat field" >&2; exit 1; }
+# Wall-clock times vary run to run; every other field must not.
+strip_wall() { sed -E 's/"wall_ms": [0-9.]+(, )?//g' "$1"; }
+diff <(strip_wall "${prove_out}") <(strip_wall BENCH_prove.json) \
+  || { echo "bench_prove: output differs from BENCH_prove.json" >&2; exit 1; }
 rm -f "${prove_out}"
 
 echo "==> roccc-serve smoke (daemon + client + metrics + shutdown)"

@@ -12,7 +12,6 @@
 //!   --no-opt             skip SSA-level scalar optimizations
 //!   --no-narrow          skip bit-width narrowing
 //!   --range-narrow       value-range analysis drives extra narrowing
-//!   --budget <slices>    pick the unroll factor by area budget
 //!   --pipeline-ii <auto|n>  modulo-schedule the loop body at initiation
 //!                        interval n (auto = the MinII lower bound)
 //!   --emit <what>        vhdl | dot | stats | ir | c | ranges | deps | deps-json |
@@ -56,9 +55,7 @@
 //! spans where available and make the exit code nonzero on error.
 
 use roccc::proto::{self, Request, Response};
-use roccc::{
-    compile, compile_with_area_budget, CompileOptions, Compiled, UnrollStrategy, VerifyLevel,
-};
+use roccc::{compile, CompileOptions, Compiled, UnrollStrategy, VerifyLevel};
 use roccc_synth::{fast_estimate, map_netlist, VirtexII};
 use std::process::ExitCode;
 use std::time::Duration;
@@ -76,7 +73,6 @@ options:
   --no-narrow            skip backward bit-width narrowing
   --range-narrow         run the forward value-range analysis and let
                          proven intervals narrow widths further
-  --budget <slices>      pick the unroll factor by area budget
   --pipeline-ii <auto|n> modulo-schedule the loop body under the modulo
                          reservation table at initiation interval n;
                          `auto` searches upward from the MinII lower
@@ -138,7 +134,6 @@ struct Args {
     function: Option<String>,
     pipeline: Option<String>,
     opts: CompileOptions,
-    budget: Option<u64>,
     emit: Option<String>,
     output: Option<String>,
     connect: Option<String>,
@@ -170,7 +165,6 @@ fn parse_args() -> Result<Args, String> {
     let mut function = None;
     let mut pipeline = None;
     let mut opts = CompileOptions::default();
-    let mut budget = None;
     let mut emit = None;
     let mut output = None;
     let mut connect = None;
@@ -210,14 +204,6 @@ fn parse_args() -> Result<Args, String> {
             "--no-opt" => opts.optimize = false,
             "--no-narrow" => opts.narrow = false,
             "--range-narrow" => opts.range_narrow = true,
-            "--budget" => {
-                budget = Some(
-                    args.next()
-                        .ok_or("--budget needs a slice count")?
-                        .parse()
-                        .map_err(|_| "--budget expects a number")?,
-                )
-            }
             "--pipeline-ii" => {
                 let v = args
                     .next()
@@ -323,7 +309,6 @@ fn parse_args() -> Result<Args, String> {
             function,
             pipeline,
             opts,
-            budget,
             emit,
             output,
             connect,
@@ -341,13 +326,8 @@ fn parse_args() -> Result<Args, String> {
     if (metrics || shutdown) && connect.is_none() {
         return Err("--metrics/--shutdown require --connect (try --help)".to_string());
     }
-    if explore && budget.is_some() {
-        return Err(
-            "--explore and --budget are mutually exclusive (use --budget-slices)".to_string(),
-        );
-    }
-    if pipeline.is_some() && (explore || budget.is_some()) {
-        return Err("--pipeline does not combine with --explore or --budget".to_string());
+    if pipeline.is_some() && explore {
+        return Err("--pipeline does not combine with --explore".to_string());
     }
     let control = metrics || shutdown;
     if !control && input.is_none() {
@@ -361,7 +341,6 @@ fn parse_args() -> Result<Args, String> {
         function,
         pipeline,
         opts,
-        budget,
         emit,
         output,
         connect,
@@ -386,7 +365,7 @@ fn effective_emit(args: &Args) -> String {
     }
 }
 
-fn render(hw: &Compiled, emit: &str, factor: Option<u64>) -> Result<String, String> {
+fn render(hw: &Compiled, emit: &str) -> Result<String, String> {
     match emit {
         "vhdl" => Ok(hw.to_vhdl()),
         "dot" => Ok(hw.to_dot()),
@@ -414,9 +393,6 @@ fn render(hw: &Compiled, emit: &str, factor: Option<u64>) -> Result<String, Stri
             let (soft, hard) = hw.datapath.node_census();
             let mut s = String::new();
             s.push_str(&format!("kernel           : {}\n", hw.kernel.name));
-            if let Some(f) = factor {
-                s.push_str(&format!("unroll factor    : {f} (area-budget driven)\n"));
-            }
             s.push_str(&format!(
                 "loop nest        : {:?} ({} iterations)\n",
                 hw.kernel
@@ -478,13 +454,6 @@ fn render(hw: &Compiled, emit: &str, factor: Option<u64>) -> Result<String, Stri
 /// charged too) and the per-phase wall-clock breakdown, formatted like
 /// the serve daemon's stats line but one row per phase.
 fn render_timings(source: &str, function: &str, args: &Args) -> Result<String, String> {
-    if args.budget.is_some() {
-        return Err(
-            "--emit timings does not combine with --budget (the budget search \
-             compiles several candidates; time one configuration at a time)"
-                .to_string(),
-        );
-    }
     let (hw, mut timings) =
         roccc::compile_timed(source, function, &args.opts).map_err(|e| render_error(&e, source))?;
     for d in &hw.diagnostics {
@@ -692,9 +661,6 @@ fn run_client(args: &Args, addr: &str) -> Result<(), String> {
         let input = args.input.as_deref().expect("parse_args checked input");
         let source =
             std::fs::read_to_string(input).map_err(|e| format!("cannot read {input}: {e}"))?;
-        if args.budget.is_some() {
-            return Err("--budget is not supported in --connect mode".to_string());
-        }
         if effective_emit(args) == "timings" {
             return Err(
                 "--emit timings is local-only; served compiles report per-phase \
@@ -840,21 +806,11 @@ fn main() -> ExitCode {
         };
     }
 
-    let (hw, factor) = if let Some(budget) = args.budget {
-        match compile_with_area_budget(&source, function, &args.opts, budget) {
-            Ok(b) => (b.compiled, Some(b.factor)),
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        match compile(&source, function, &args.opts) {
-            Ok(c) => (c, None),
-            Err(e) => {
-                eprintln!("{}", render_error(&e, &source));
-                return ExitCode::FAILURE;
-            }
+    let hw = match compile(&source, function, &args.opts) {
+        Ok(c) => c,
+        Err(e) => {
+            eprintln!("{}", render_error(&e, &source));
+            return ExitCode::FAILURE;
         }
     };
 
@@ -865,7 +821,7 @@ fn main() -> ExitCode {
     }
 
     let emit = effective_emit(&args);
-    let text = match render(&hw, &emit, factor) {
+    let text = match render(&hw, &emit) {
         Ok(t) => t,
         Err(e) => {
             eprintln!("{e}");

@@ -3,14 +3,16 @@
 //! (an unbounded beam reproduces the exhaustive Pareto set), artifacts
 //! must be byte-deterministic across runs, the memo must serve a repeat
 //! sweep entirely from cache, failures must be skip-reported instead of
-//! aborting, and every Table-1 kernel must yield a non-empty frontier
-//! with no dominated points.
+//! aborting, a looser area budget must score a larger unroll factor, and
+//! every Table-1 kernel must yield a non-empty frontier with no dominated
+//! points.
 
 use roccc_suite::explore::{
     explore, frontier, render_json, CompileFn, ExploreConfig, Memo, Point, Space, Status,
 };
 use roccc_suite::ipcores::{kernels, table::benchmarks};
 use roccc_suite::roccc::{CompileError, CompileOptions, UnrollStrategy};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 fn fir() -> (String, &'static str) {
@@ -119,6 +121,52 @@ fn budget_prunes_and_reports() {
     for &i in &budgeted.frontier {
         assert_eq!(budgeted.reports[i].status, Status::Scored);
     }
+}
+
+/// Explore is the one way to steer unrolling by area (§2: "Loop
+/// unrolling for FPGAs requires compile time area estimation"): a looser
+/// budget keeps a larger unroll factor scored, and that candidate's
+/// hardware computes what the C does.
+#[test]
+fn looser_budget_scores_a_larger_unroll_factor() {
+    let source = "void scale(int16 A[64], int16 B[64]) { int i;
+      for (i = 0; i < 64; i++) { B[i] = A[i] * 11 + 3; } }";
+    let space = Space::new(&[1, 2, 4, 8], &[0], false);
+    let unbudgeted = sweep(source, "scale", &space, &ExploreConfig::default());
+    let smallest = unbudgeted
+        .reports
+        .iter()
+        .filter_map(|r| r.metrics.map(|m| m.est_slices))
+        .min()
+        .expect("scored candidates");
+    let widest_scored = |budget: u64| {
+        let cfg = ExploreConfig {
+            budget_slices: Some(budget),
+            ..ExploreConfig::default()
+        };
+        sweep(source, "scale", &space, &cfg)
+            .reports
+            .into_iter()
+            .filter(|r| r.status == Status::Scored)
+            .max_by_key(|r| r.candidate.unroll)
+            .expect("a candidate fits the budget")
+            .candidate
+    };
+    let tight = widest_scored(smallest);
+    let loose = widest_scored(100_000);
+    assert!(
+        loose.unroll > tight.unroll,
+        "loose budget should unroll more: {} vs {}",
+        loose.unroll,
+        tight.unroll
+    );
+    let hw = roccc::compile(source, "scale", &loose.options(&CompileOptions::default()))
+        .expect("the chosen candidate compiles");
+    let a: Vec<i64> = (0..64).collect();
+    let arrays = HashMap::from([("A".to_string(), a.clone())]);
+    let run = hw.run(&arrays, &HashMap::new()).unwrap();
+    let expect: Vec<i64> = a.iter().map(|x| x * 11 + 3).collect();
+    assert_eq!(run.arrays["B"], expect);
 }
 
 /// A repeat sweep against the same memo recompiles nothing: every

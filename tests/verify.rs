@@ -13,10 +13,11 @@
 //! accumulator kernel lands in a single pipeline stage, and breaking that
 //! fires `D005-feedback-stage-split`.
 
-use roccc_suite::datapath::{DpMachine, OpId, Value};
+use roccc_suite::datapath::{OpId, Value};
 use roccc_suite::hlir::deps::{DepKind, DimDist};
 use roccc_suite::ipcores::table::benchmarks;
 use roccc_suite::netlist::cells::{Cell, CellKind};
+use roccc_suite::netlist::NetlistSim;
 use roccc_suite::roccc::{compile, compile_with_model, CompileOptions, VerifyLevel};
 use roccc_suite::suifvm::deps::DepEdge;
 use roccc_suite::suifvm::ir::{BlockId, Opcode, Terminator, VReg};
@@ -93,9 +94,10 @@ fn generated_kernels_verify_clean_under_deny() {
     }
 }
 
-/// Bit-width soundness, dynamically: the narrowed data path computes the
-/// same outputs as the un-narrowed one under `datapath::eval` — the
-/// runtime counterpart of the static `D006`/`D007` width checks.
+/// Bit-width soundness, dynamically: the narrowed netlist computes the
+/// same outputs as the un-narrowed one on the reference simulator — the
+/// runtime counterpart of the static `D006`/`D007` width checks. The two
+/// can differ in pipeline depth, so they are compared stream to stream.
 #[test]
 fn narrowed_widths_preserve_eval_semantics() {
     for case in 0..24u64 {
@@ -111,16 +113,14 @@ fn narrowed_widths_preserve_eval_semantics() {
             },
         )
         .expect("compiles wide");
-        let mut m_n = DpMachine::new(&narrowed.datapath);
-        let mut m_w = DpMachine::new(&wide.datapath);
-        for _ in 0..8 {
-            let args: Vec<i64> = (0..3).map(|_| rng.gen_range(-5000, 4999)).collect();
-            assert_eq!(
-                m_n.step(&args),
-                m_w.step(&args),
-                "case {case} (src {src}) args {args:?}"
-            );
-        }
+        let iters: Vec<Vec<i64>> = (0..8)
+            .map(|_| (0..3).map(|_| rng.gen_range(-5000, 4999)).collect())
+            .collect();
+        assert_eq!(
+            NetlistSim::new(&narrowed.netlist).run_stream(&iters),
+            NetlistSim::new(&wide.netlist).run_stream(&iters),
+            "case {case} (src {src}) args {iters:?}"
+        );
     }
 }
 
