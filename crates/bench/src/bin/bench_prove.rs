@@ -2,11 +2,12 @@
 //! every Table 1 kernel.
 //!
 //! ```text
-//! cargo run --release -p roccc-bench --bin bench_prove -- [--out PATH]
+//! cargo run --release -p roccc-bench --bin bench_prove -- [--runs N] [--out PATH]
 //! ```
 //!
 //! Each kernel is compiled once (without proving) and the prover is then
-//! timed on the resulting IR/netlist pair: wall time, how each obligation
+//! timed on the resulting IR/netlist pair: wall time (the median of
+//! `--runs` proofs, default 15), how each obligation
 //! was discharged (normalizing rewriter vs. range facts vs. the SAT
 //! fallback), total rewrite steps, the symbolic footprint in hash-consed
 //! terms, and the rendered certificate size. The table is written to
@@ -14,25 +15,35 @@
 //! closes without touching SAT — is tracked PR over PR.
 
 use roccc::compile;
+use roccc_bench::time_median;
 use roccc_ipcores::benchmarks;
 use roccc_prove::{certificate_json, prove, ProveOptions, Verdict};
 use std::fmt::Write as _;
-use std::time::Instant;
 
-fn parse_out() -> String {
+/// `(runs, output path)` from the command line.
+fn parse_args() -> (usize, String) {
+    let mut runs = 15;
     let mut out = "BENCH_prove.json".to_string();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
+            "--runs" => {
+                runs = args
+                    .next()
+                    .expect("--runs needs a count")
+                    .parse()
+                    .expect("--runs: integer");
+                assert!(runs > 0, "--runs must be at least 1");
+            }
             "--out" => out = args.next().expect("--out needs a path"),
             "--help" | "-h" => {
-                eprintln!("usage: bench_prove [--out PATH]");
+                eprintln!("usage: bench_prove [--runs N] [--out PATH]");
                 std::process::exit(0);
             }
             other => panic!("unknown argument {other}"),
         }
     }
-    out
+    (runs, out)
 }
 
 struct Row {
@@ -51,14 +62,17 @@ struct Row {
 }
 
 fn main() {
-    let out = parse_out();
+    let (runs, out) = parse_args();
+    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let mut rows = Vec::new();
     for b in benchmarks() {
         let c = compile(&b.source, b.func, &b.opts).expect("benchmark compiles");
-        let t0 = Instant::now();
-        let cert = prove(&c.ir, &c.netlist, b.name, &ProveOptions::default());
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+        let opts = ProveOptions::default();
+        let cert = prove(&c.ir, &c.netlist, b.name, &opts);
+        let wall_ms = time_median(runs, || {
+            prove(&c.ir, &c.netlist, b.name, &opts).terms as u64
+        }) * 1e3;
         let (rw, rg, sat, refuted, unknown) = cert.status_counts();
         let verdict = match cert.verdict {
             Verdict::Equal => "equal",
@@ -96,7 +110,11 @@ fn main() {
     // The bench JSON schema is bespoke to this harness, like
     // BENCH_ii.json: hand-written, deterministic field order.
     let mut s = String::new();
-    s.push_str("{\n  \"benchmark\": \"prove\",\n  \"unit\": \"ms\",\n  \"results\": [\n");
+    let _ = write!(
+        s,
+        "{{\n  \"benchmark\": \"prove\",\n  \"unit\": \"ms\",\n  \"runs\": {runs},\n  \
+         \"host_cpus\": {host_cpus},\n  \"results\": [\n"
+    );
     for (i, r) in rows.iter().enumerate() {
         let _ = write!(
             s,

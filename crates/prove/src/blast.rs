@@ -9,11 +9,19 @@
 //! dynamic shifts, ROM lookups) become fresh uninterpreted vectors — sound
 //! for UNSAT verdicts, while SAT models are only ever *candidates* that
 //! must survive concrete replay before a refutation is reported.
-
-use std::collections::HashMap;
+//!
+//! Term images are memoized densely (a per-[`TermId`] index into one
+//! vector of images) and gates through Fx-hashed tables keyed by their
+//! canonical input literals, so equal gates share one output variable.
+//! Gates are recorded in creation order and turned into clauses only when
+//! a search needs them: when gate hashing folds the whole difference to
+//! constant false, the difference clause is empty and the CNF is
+//! unsatisfiable as written, so it is never built (its size is still
+//! reported, as each gate's fixed clause count).
 
 use roccc_cparse::ops::MAX_SHIFT;
 
+use crate::fx::FxHashMap;
 use crate::sat::{SatStats, SolveResult, Solver};
 use crate::term::{TOp, Term, TermId, TermStore};
 
@@ -25,19 +33,53 @@ pub enum SatOutcome {
     /// `l ≡ r (mod 2^bits)` holds for all leaf values.
     Equal,
     /// Candidate leaf assignment under which the sides may differ
-    /// (must be confirmed by replay): `(var leaves, fb leaves)` keyed by
-    /// `(index, lag)`.
-    Candidate(HashMap<(u32, u32), i64>, HashMap<(u32, u32), i64>),
+    /// (must be confirmed by replay): `(var leaves, fb leaves)` as
+    /// `((index, lag), value)`, in ascending term-id order.
+    Candidate(Vec<((u32, u32), i64)>, Vec<((u32, u32), i64)>),
     /// Budget exhausted.
     Unknown,
+}
+
+/// Marker in [`Blaster::memo`] for a term not blasted yet.
+const UNBLASTED: u32 = u32::MAX;
+
+/// A gate's canonical input pair as one table key.
+fn gate_key(a: i32, b: i32) -> u64 {
+    ((a as u32 as u64) << 32) | b as u32 as u64
+}
+
+/// A Tseitin gate `(output, a, b)` over canonical input literals.
+#[derive(Debug, Clone, Copy)]
+enum Gate {
+    /// `output = a ∧ b`: three clauses.
+    And(i32, i32, i32),
+    /// `output = a ⊕ b`: four clauses.
+    Xor(i32, i32, i32),
+}
+
+impl Gate {
+    /// Clauses the solver stores for this gate. Gate inputs are never
+    /// constants (the constructors fold those) and the output is fresh, so
+    /// no clause is satisfied, tautological or shortened at level 0.
+    fn clause_count(self) -> usize {
+        match self {
+            Gate::And(..) => 3,
+            Gate::Xor(..) => 4,
+        }
+    }
 }
 
 struct Blaster<'a> {
     store: &'a TermStore,
     sat: Solver,
     tlit: i32,
-    memo: HashMap<TermId, Bits>,
-    gate_memo: HashMap<(u8, i32, i32), i32>,
+    /// `memo[t]` indexes `images`, or is [`UNBLASTED`].
+    memo: Vec<u32>,
+    images: Vec<Bits>,
+    and_memo: FxHashMap<u64, i32>,
+    xor_memo: FxHashMap<u64, i32>,
+    /// Gates not yet emitted as clauses, in creation order.
+    gates: Vec<Gate>,
 }
 
 impl<'a> Blaster<'a> {
@@ -49,8 +91,30 @@ impl<'a> Blaster<'a> {
             store,
             sat,
             tlit,
-            memo: HashMap::new(),
-            gate_memo: HashMap::new(),
+            memo: vec![UNBLASTED; store.len()],
+            images: Vec::new(),
+            and_memo: FxHashMap::default(),
+            xor_memo: FxHashMap::default(),
+            gates: Vec::new(),
+        }
+    }
+
+    /// Adds the clauses of every recorded gate, in creation order.
+    fn emit_gates(&mut self) {
+        for g in std::mem::take(&mut self.gates) {
+            match g {
+                Gate::And(o, a, b) => {
+                    self.sat.add_clause(&[-o, a]);
+                    self.sat.add_clause(&[-o, b]);
+                    self.sat.add_clause(&[o, -a, -b]);
+                }
+                Gate::Xor(o, a, b) => {
+                    self.sat.add_clause(&[-o, a, b]);
+                    self.sat.add_clause(&[-o, -a, -b]);
+                    self.sat.add_clause(&[o, -a, b]);
+                    self.sat.add_clause(&[o, a, -b]);
+                }
+            }
         }
     }
 
@@ -92,15 +156,11 @@ impl<'a> Blaster<'a> {
             return self.fls();
         }
         let (a, b) = if a < b { (a, b) } else { (b, a) };
-        if let Some(&o) = self.gate_memo.get(&(0, a, b)) {
-            return o;
-        }
-        let o = self.sat.new_var();
-        self.sat.add_clause(&[-o, a]);
-        self.sat.add_clause(&[-o, b]);
-        self.sat.add_clause(&[o, -a, -b]);
-        self.gate_memo.insert((0, a, b), o);
-        o
+        *self.and_memo.entry(gate_key(a, b)).or_insert_with(|| {
+            let o = self.sat.new_var();
+            self.gates.push(Gate::And(o, a, b));
+            o
+        })
     }
 
     fn or2(&mut self, a: i32, b: i32) -> i32 {
@@ -140,17 +200,11 @@ impl<'a> Blaster<'a> {
             b = -b;
             flip = !flip;
         }
-        let o = if let Some(&o) = self.gate_memo.get(&(1, a, b)) {
-            o
-        } else {
+        let o = *self.xor_memo.entry(gate_key(a, b)).or_insert_with(|| {
             let o = self.sat.new_var();
-            self.sat.add_clause(&[-o, a, b]);
-            self.sat.add_clause(&[-o, -a, -b]);
-            self.sat.add_clause(&[o, -a, b]);
-            self.sat.add_clause(&[o, a, -b]);
-            self.gate_memo.insert((1, a, b), o);
+            self.gates.push(Gate::Xor(o, a, b));
             o
-        };
+        });
         if flip {
             -o
         } else {
@@ -299,10 +353,12 @@ impl<'a> Blaster<'a> {
     }
 
     fn blast(&mut self, t: TermId) -> Bits {
-        if let Some(&b) = self.memo.get(&t) {
-            return b;
+        let slot = self.memo[t as usize];
+        if slot != UNBLASTED {
+            return self.images[slot as usize];
         }
-        let out = match self.store.term(t).clone() {
+        let store = self.store;
+        let out = match store.term(t) {
             Term::Const(v) => self.const_bits(v),
             // Raw argument word: 64 free bits.
             Term::Var { .. } => self.fresh_vec(64, false),
@@ -319,9 +375,10 @@ impl<'a> Blaster<'a> {
                 let a = self.blast(arg);
                 self.wrap_bits(a, bits, signed)
             }
-            Term::Op { op, args } => self.blast_op(op, &args),
+            Term::Op { op, args } => self.blast_op(op, args),
         };
-        self.memo.insert(t, out);
+        self.memo[t as usize] = self.images.len() as u32;
+        self.images.push(out);
         out
     }
 
@@ -342,7 +399,7 @@ impl<'a> Blaster<'a> {
                 let consts: Vec<i64> = args
                     .iter()
                     .filter_map(|&a| match self.store.term(a) {
-                        Term::Const(v) => Some(*v),
+                        Term::Const(v) => Some(v),
                         _ => None,
                     })
                     .collect();
@@ -410,7 +467,7 @@ impl<'a> Blaster<'a> {
                 out
             }
             TOp::Shr => {
-                if let Term::Const(k) = *self.store.term(args[1]) {
+                if let Term::Const(k) = self.store.term(args[1]) {
                     let a = self.blast(args[0]);
                     let k = k.clamp(0, MAX_SHIFT) as usize;
                     let mut out = [self.fls(); W];
@@ -492,25 +549,37 @@ pub fn sat_equal(
     for i in 0..n {
         diff.push(bl.xor2(lb[i], rb[i]));
     }
-    bl.sat.add_clause(&diff);
-    let res = bl.sat.solve(conflict_budget);
     let vars = bl.sat.num_vars();
-    let clauses = bl.sat.num_clauses();
-    let stats = bl.sat.stats;
+    let (res, stats, clauses) = if diff.iter().all(|&d| d == bl.fls()) {
+        // The difference folded to constant false: the difference clause
+        // is empty, which is what `solve` would answer UNSAT on before any
+        // search.
+        let clauses = bl.gates.iter().map(|g| g.clause_count()).sum();
+        if cfg!(debug_assertions) {
+            bl.emit_gates();
+            assert_eq!(bl.sat.num_clauses(), clauses, "gate clause count");
+        }
+        (SolveResult::Unsat, SatStats::default(), clauses)
+    } else {
+        bl.emit_gates();
+        bl.sat.add_clause(&diff);
+        let res = bl.sat.solve(conflict_budget);
+        (res, bl.sat.stats, bl.sat.num_clauses())
+    };
     let outcome = match res {
         SolveResult::Unsat => SatOutcome::Equal,
         SolveResult::Unknown => SatOutcome::Unknown,
         SolveResult::Sat => {
-            let mut vars_out = HashMap::new();
-            let mut fbs_out = HashMap::new();
-            for (&t, &b) in &bl.memo {
-                match store.term(t) {
-                    Term::Var { port, lag } => {
-                        vars_out.insert((*port, *lag), bl.leaf_value(b));
-                    }
-                    Term::FbVar { slot, lag } => {
-                        fbs_out.insert((*slot, *lag), bl.leaf_value(b));
-                    }
+            let mut vars_out = Vec::new();
+            let mut fbs_out = Vec::new();
+            for (t, &slot) in bl.memo.iter().enumerate() {
+                if slot == UNBLASTED {
+                    continue;
+                }
+                let value = bl.leaf_value(bl.images[slot as usize]);
+                match store.term(t as TermId) {
+                    Term::Var { port, lag } => vars_out.push(((port, lag), value)),
+                    Term::FbVar { slot, lag } => fbs_out.push(((slot, lag), value)),
                     _ => {}
                 }
             }
@@ -529,6 +598,13 @@ mod tests {
         TermStore::new(vec![IntType::int(), IntType::int()], vec![])
     }
 
+    fn leaf(model: &[((u32, u32), i64)], key: (u32, u32)) -> i64 {
+        model
+            .iter()
+            .find(|&&(k, _)| k == key)
+            .map_or(0, |&(_, v)| v)
+    }
+
     #[test]
     fn masked_add_equivalence_proved() {
         // (a + b) & 0xFF  ≡  (b + a) mod 2^8 — different term shapes on
@@ -538,16 +614,16 @@ mod tests {
         let b = s.var(1, 0);
         let raw_sum = s.mk(Term::Op {
             op: TOp::Add,
-            args: vec![a, b],
+            args: &[a, b],
         });
         let mask = s.cst(0xFF);
         let l = s.mk(Term::Op {
             op: TOp::And,
-            args: vec![raw_sum, mask],
+            args: &[raw_sum, mask],
         });
         let r = s.mk(Term::Op {
             op: TOp::Add,
-            args: vec![b, a],
+            args: &[b, a],
         });
         let (out, ..) = sat_equal(&s, l, r, 8, 100_000);
         assert!(matches!(out, SatOutcome::Equal));
@@ -563,7 +639,7 @@ mod tests {
         let SatOutcome::Candidate(vars, _) = out else {
             panic!("expected a counterexample candidate");
         };
-        let av = vars.get(&(0, 0)).copied().unwrap_or(0);
+        let av = leaf(&vars, (0, 0));
         // The model must actually distinguish the sides at 16 bits.
         let w = IntType::signed(16);
         assert_ne!(w.wrap(av.wrapping_add(1)), w.wrap(av));
@@ -576,11 +652,11 @@ mod tests {
         let a = s.var(0, 0);
         let n1 = s.mk(Term::Op {
             op: TOp::Neg,
-            args: vec![a],
+            args: &[a],
         });
         let n2 = s.mk(Term::Op {
             op: TOp::Neg,
-            args: vec![n1],
+            args: &[n1],
         });
         let (out, ..) = sat_equal(&s, n2, a, 64, 200_000);
         assert!(matches!(out, SatOutcome::Equal));
@@ -594,15 +670,15 @@ mod tests {
         let b = s.var(1, 0);
         let l = s.mk(Term::Op {
             op: TOp::Slt,
-            args: vec![a, b],
+            args: &[a, b],
         });
         let one = s.cst(1);
         let (out, ..) = sat_equal(&s, l, one, 1, 100_000);
         let SatOutcome::Candidate(vars, _) = out else {
             panic!("expected candidate: a<b is not always true");
         };
-        let av = vars.get(&(0, 0)).copied().unwrap_or(0);
-        let bv = vars.get(&(1, 0)).copied().unwrap_or(0);
+        let av = leaf(&vars, (0, 0));
+        let bv = leaf(&vars, (1, 0));
         assert!(av >= bv, "model must violate a<b, got {av} < {bv}");
     }
 }

@@ -20,12 +20,12 @@
 //! [`NlSymbols::fact_elided`] so obligations closed through them can be
 //! reported as range-assisted rather than purely rewritten.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use roccc_netlist::cells::{CellKind, Netlist};
 use roccc_suifvm::ir::{FunctionIr, Opcode};
 
-use crate::term::{TOp, TermId, TermStore};
+use crate::term::{TOp, TermId, TermMap, TermStore};
 
 /// Result of symbolically executing one netlist period.
 pub struct NlSymbols {
@@ -40,7 +40,7 @@ pub struct NlSymbols {
     pub init_vals: Vec<(i64, i64)>,
     /// Terms standing unwrapped only because a compiler range fact proved
     /// the value fits the cell type.
-    pub fact_elided: HashSet<TermId>,
+    pub fact_elided: Vec<TermId>,
 }
 
 /// Symbolically evaluates `nl` over the same leaves `eval_ir` uses.
@@ -72,8 +72,8 @@ pub fn eval_nl(store: &mut TermStore, nl: &Netlist, f: &FunctionIr) -> Result<Nl
     }
 
     let mut terms: Vec<Option<TermId>> = vec![None; nl.cells.len()];
-    let mut fact_elided: HashSet<TermId> = HashSet::new();
-    let mut lag_cache: HashMap<TermId, TermId> = HashMap::new();
+    let mut fact_elided: Vec<TermId> = Vec::new();
+    let mut lag_cache: TermMap<TermId> = TermMap::new();
 
     // Only registers may be forward-referenced, so each pass resolves at
     // least the next unresolved non-register cell; bound passes anyway.
@@ -194,7 +194,7 @@ fn cell_wrap(
     nl: &Netlist,
     ci: usize,
     t: TermId,
-    fact_elided: &mut HashSet<TermId>,
+    fact_elided: &mut Vec<TermId>,
 ) -> TermId {
     let ty = nl.cells[ci].ty();
     let wrapped = store.wrap(ty, t);
@@ -203,7 +203,7 @@ fn cell_wrap(
     }
     if let Some(r) = nl.range_of(roccc_netlist::cells::CellId(ci as u32)) {
         if r.lo >= ty.min_value() && r.hi <= ty.max_value() {
-            fact_elided.insert(t);
+            fact_elided.push(t);
             return t;
         }
     }

@@ -33,11 +33,11 @@
 pub mod blast;
 pub mod eval_ir;
 pub mod eval_nl;
+pub mod fx;
 pub mod rewrite;
 pub mod sat;
 pub mod term;
 
-use std::collections::HashMap;
 use std::fmt;
 
 use roccc_cparse::types::IntType;
@@ -49,7 +49,7 @@ use roccc_verify::{CertificateView, CounterexampleView, Diagnostic, ObligationVi
 
 use blast::SatOutcome;
 use rewrite::{equal_mod, NormCache};
-use term::{LagSet, TermId, TermStore};
+use term::{ConeEval, LagSet, TermId, TermMap, TermStore};
 
 /// Schema tag stamped on every certificate (kept in lockstep with
 /// [`roccc_verify::PROVE_SCHEMA`]).
@@ -417,11 +417,11 @@ impl<'a> Prover<'a> {
         // Tier 2 — concrete probes over random leaf assignments; any
         // divergence is only a candidate until it replays from reset.
         let cmp_ty = IntType::signed(bits.max(1));
+        let mut cone = ConeEval::new(&self.store, &[l, r]);
         for _ in 0..64 {
             let vars = self.rng.window(self.f);
-            let mut cache = HashMap::new();
-            let lv = self.store.eval(l, &vars, &self.fb_init, &mut cache);
-            let rv = self.store.eval(r, &vars, &self.fb_init, &mut cache);
+            cone.run(&self.store, &vars, &self.fb_init);
+            let (lv, rv) = (cone.value(l), cone.value(r));
             if cmp_ty.wrap(lv) != cmp_ty.wrap(rv) {
                 if let Some(cex) = self.confirm(vars) {
                     return (
@@ -470,7 +470,7 @@ impl<'a> Prover<'a> {
             ),
             SatOutcome::Candidate(var_model, _fb_model) => {
                 let mut vars = vec![0i64; self.f.inputs.len()];
-                for (&(p, _), &v) in &var_model {
+                for &((p, _), v) in &var_model {
                     if let Some(slot) = vars.get_mut(p as usize) {
                         *slot = v;
                     }
@@ -619,8 +619,8 @@ pub fn prove(f: &FunctionIr, nl: &Netlist, kernel: &str, opts: &ProveOptions) ->
             }
         }
         Ok((ir, nls)) => {
-            let mut lag_cache = HashMap::new();
-            let mut strip_cache = HashMap::new();
+            let mut lag_cache = TermMap::new();
+            let mut strip_cache = TermMap::new();
 
             // Valid-grid obligations: every output cone must be uniform
             // at the plan latency, every next-state cone at its gate.
@@ -667,7 +667,7 @@ pub fn prove(f: &FunctionIr, nl: &Netlist, kernel: &str, opts: &ProveOptions) ->
                 f,
                 nl,
                 store,
-                norm: NormCache::new(),
+                norm: NormCache::default(),
                 opts,
                 rng,
                 fb_init,

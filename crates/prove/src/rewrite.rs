@@ -22,15 +22,14 @@
 //! Constants are canonicalized to their sign-extended `care`-bit image, so
 //! coefficients that vanish mod 2^care drop out of sums and products.
 
-use std::collections::HashMap;
-
 use roccc_cparse::ops::MAX_SHIFT;
 use roccc_cparse::types::IntType;
 
+use crate::fx::FxHashMap;
 use crate::term::{TOp, Term, TermId, TermStore};
 
 /// Memo table for [`normalize`] — keyed by `(term, care)`.
-pub type NormCache = HashMap<(TermId, u8), TermId>;
+pub type NormCache = FxHashMap<(TermId, u8), TermId>;
 
 /// Normalizes `t` under `care` observed low bits (see module docs).
 pub fn normalize(store: &mut TermStore, t: TermId, care: u8, cache: &mut NormCache) -> TermId {
@@ -38,7 +37,7 @@ pub fn normalize(store: &mut TermStore, t: TermId, care: u8, cache: &mut NormCac
     if let Some(&r) = cache.get(&(t, care)) {
         return r;
     }
-    let r = match store.term(t).clone() {
+    let r = match store.term(t) {
         Term::Var { .. } | Term::FbVar { .. } => t,
         Term::Const(v) => {
             if care < 64 {
@@ -64,14 +63,30 @@ pub fn normalize(store: &mut TermStore, t: TermId, care: u8, cache: &mut NormCac
             }
         }
         Term::Op { op, args } => {
-            let n = |s: &mut TermStore, c: &mut NormCache, a: TermId, k: u8| normalize(s, a, k, c);
+            // Operands are re-read by index: normalizing one may grow the
+            // store, which the borrowed `args` would not survive.
+            let n = args.len();
+            // Normalizes every operand, operand `k` under `care_of(k)`.
+            let all =
+                |store: &mut TermStore, cache: &mut NormCache, care_of: &dyn Fn(usize) -> u8| {
+                    (0..n)
+                        .map(|k| {
+                            let a = store.arg(t, k);
+                            normalize(store, a, care_of(k), cache)
+                        })
+                        .collect::<Vec<TermId>>()
+                };
+            let one = |store: &mut TermStore, cache: &mut NormCache, k: usize, c: u8| {
+                let a = store.arg(t, k);
+                normalize(store, a, c, cache)
+            };
             match op {
                 TOp::Add => {
-                    let na: Vec<TermId> = args.iter().map(|&a| n(store, cache, a, care)).collect();
+                    let na = all(store, cache, &|_| care);
                     store.add(na)
                 }
                 TOp::Mul => {
-                    let na: Vec<TermId> = args.iter().map(|&a| n(store, cache, a, care)).collect();
+                    let na = all(store, cache, &|_| care);
                     store.mul(na)
                 }
                 TOp::And => {
@@ -80,82 +95,76 @@ pub fn normalize(store: &mut TermStore, t: TermId, care: u8, cache: &mut NormCac
                     // bits. The mask itself must stay exact — its zeros are
                     // load-bearing.
                     let window = if care < 64 { (1u64 << care) - 1 } else { !0 };
+                    let is_const: Vec<bool> = args
+                        .iter()
+                        .map(|&a| matches!(store.term(a), Term::Const(_)))
+                        .collect();
                     let mask = args
                         .iter()
-                        .filter_map(|&a| match *store.term(a) {
+                        .filter_map(|&a| match store.term(a) {
                             Term::Const(v) => Some(v as u64),
                             _ => None,
                         })
                         .fold(!0u64, |m, v| m & v);
                     let need = (64 - (mask & window).leading_zeros()) as u8;
                     let care_x = care.min(need.max(1));
-                    let na: Vec<TermId> = args
-                        .iter()
-                        .map(|&a| {
-                            let k = if matches!(store.term(a), Term::Const(_)) {
-                                care
-                            } else {
-                                care_x
-                            };
-                            n(store, cache, a, k)
-                        })
-                        .collect();
+                    let na = all(store, cache, &|k| if is_const[k] { care } else { care_x });
                     store.bitwise(op, na)
                 }
                 TOp::Or | TOp::Xor => {
-                    let na: Vec<TermId> = args.iter().map(|&a| n(store, cache, a, care)).collect();
+                    let na = all(store, cache, &|_| care);
                     store.bitwise(op, na)
                 }
                 TOp::Neg => {
-                    let a = n(store, cache, args[0], care);
+                    let a = one(store, cache, 0, care);
                     store.neg(a)
                 }
                 TOp::Not => {
-                    let a = n(store, cache, args[0], care);
+                    let a = one(store, cache, 0, care);
                     store.not(a)
                 }
                 TOp::Bool => {
-                    let a = n(store, cache, args[0], 64);
+                    let a = one(store, cache, 0, 64);
                     store.boolify(a)
                 }
                 TOp::ShAmt => {
-                    let a = n(store, cache, args[0], 64);
+                    let a = one(store, cache, 0, 64);
                     store.sh_amt(a)
                 }
                 TOp::Shl => {
                     // Low `care` bits of `x << amt` depend only on the low
                     // `care` bits of `x` (left shifts move bits upward).
-                    let x = n(store, cache, args[0], care);
-                    let a = n(store, cache, args[1], 64);
+                    let x = one(store, cache, 0, care);
+                    let a = one(store, cache, 1, 64);
                     store.shl(x, a)
                 }
                 TOp::Shr => {
                     // Low `care` bits of `x >> k` are bits k..k+care of
                     // `x`, so a constant amount narrows the operand's
                     // context to `care + k`; dynamic amounts stay exact.
-                    let a = n(store, cache, args[1], 64);
-                    let care_x = match *store.term(a) {
+                    let a = one(store, cache, 1, 64);
+                    let care_x = match store.term(a) {
                         Term::Const(k) if (0..=MAX_SHIFT).contains(&k) => {
                             care.saturating_add(k as u8).min(64)
                         }
                         _ => 64,
                     };
-                    let x = n(store, cache, args[0], care_x);
+                    let x = one(store, cache, 0, care_x);
                     store.shr(x, a)
                 }
                 TOp::Div | TOp::Rem | TOp::Slt | TOp::Sle | TOp::Seq | TOp::Sne => {
-                    let a = n(store, cache, args[0], 64);
-                    let b = n(store, cache, args[1], 64);
+                    let a = one(store, cache, 0, 64);
+                    let b = one(store, cache, 1, 64);
                     store.op2(op, a, b)
                 }
                 TOp::Mux => {
-                    let c = n(store, cache, args[0], 64);
-                    let x = n(store, cache, args[1], care);
-                    let y = n(store, cache, args[2], care);
+                    let c = one(store, cache, 0, 64);
+                    let x = one(store, cache, 1, care);
+                    let y = one(store, cache, 2, care);
                     store.mux(c, x, y)
                 }
                 TOp::Lut(tb) => {
-                    let i = n(store, cache, args[0], 64);
+                    let i = one(store, cache, 0, 64);
                     store.lut(tb, i)
                 }
             }
@@ -196,7 +205,7 @@ mod tests {
             signed: true,
             arg: sum,
         });
-        let mut c = NormCache::new();
+        let mut c = NormCache::default();
         assert!(equal_mod(&mut s, wrapped, sum, 16, &mut c));
         // ... but not at 64 bits (the wrap matters there).
         assert!(!equal_mod(&mut s, wrapped, sum, 64, &mut c));
@@ -210,7 +219,7 @@ mod tests {
         let c256 = s.cst(256);
         let m = s.mul(vec![c256, b]);
         let l = s.add(vec![a, m]);
-        let mut c = NormCache::new();
+        let mut c = NormCache::default();
         // At 8 observed bits the 256*b term contributes nothing.
         assert!(equal_mod(&mut s, l, a, 8, &mut c));
         assert!(!equal_mod(&mut s, l, a, 16, &mut c));
@@ -222,7 +231,7 @@ mod tests {
         let a = s.var(0, 0);
         let mask = s.cst(0xFF);
         let masked = s.bitwise(TOp::And, vec![a, mask]);
-        let mut c = NormCache::new();
+        let mut c = NormCache::default();
         // At care 8, the 0xFF mask becomes -1 and drops.
         assert!(equal_mod(&mut s, masked, a, 8, &mut c));
     }
@@ -239,7 +248,7 @@ mod tests {
         let k = s.cst(22);
         let l = s.shr(w, k);
         let r = s.shr(x, k);
-        let mut c = NormCache::new();
+        let mut c = NormCache::default();
         // Observed at 1 bit, only bits 22..23 of x matter — inside the 24.
         assert!(equal_mod(&mut s, l, r, 1, &mut c));
         assert!(!equal_mod(&mut s, l, r, 64, &mut c));
@@ -257,7 +266,7 @@ mod tests {
         let one = s.cst(1);
         let l = s.bitwise(TOp::And, vec![one, w]);
         let r = s.bitwise(TOp::And, vec![one, x]);
-        let mut c = NormCache::new();
+        let mut c = NormCache::default();
         // The mask keeps only bit 0, which the 8-bit wrap never touches.
         assert!(equal_mod(&mut s, l, r, 64, &mut c));
     }
@@ -283,7 +292,7 @@ mod tests {
             signed: true,
             arg: sum,
         });
-        let mut c = NormCache::new();
+        let mut c = NormCache::default();
         assert!(equal_mod(&mut s, w16, direct, 64, &mut c));
     }
 }

@@ -2,11 +2,20 @@
 //!
 //! Classic architecture: two-watched-literal propagation, first-UIP
 //! conflict analysis with clause learning, activity-driven branching
-//! (lazy-heap VSIDS), phase saving, geometric restarts, and a hard
-//! conflict budget that yields an honest [`SolveResult::Unknown`].
+//! (VSIDS over an indexed heap), phase saving, geometric restarts, and a
+//! hard conflict budget that yields an honest [`SolveResult::Unknown`].
+//!
+//! Branching picks the unassigned variable with the greatest
+//! `(activity, index)` pair. The heap holds every unassigned variable
+//! under its current activity (assigned ones leave it lazily, when they
+//! surface at the top), so its maximum is that variable.
 //!
 //! Literals use DIMACS convention: variable `v >= 1`, literal `v` or `-v`.
 //! Clauses are only added before `solve` is called.
+//!
+//! Storage is flat: every clause's literals live back to back in one
+//! arena, and a clause is its `(start, len)` span; conflict analysis
+//! reads clauses in place and reuses its buffers.
 
 /// Outcome of a [`Solver::solve`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,10 +43,121 @@ pub struct SatStats {
 
 const NO_REASON: u32 = u32::MAX;
 
+/// Marker in [`VarOrder::pos`] for a variable outside the heap.
+const ABSENT: u32 = u32::MAX;
+
+/// Branching order: a binary max-heap of variables keyed by
+/// `(activity, variable)`, with each variable's heap position so a bumped
+/// variable can move up in place.
+#[derive(Default)]
+struct VarOrder {
+    heap: Vec<u32>,
+    /// Heap index of each variable, or [`ABSENT`].
+    pos: Vec<u32>,
+}
+
+impl VarOrder {
+    fn above(act: &[f64], a: u32, b: u32) -> bool {
+        (act[a as usize].to_bits(), a) > (act[b as usize].to_bits(), b)
+    }
+
+    fn contains(&self, v: usize) -> bool {
+        self.pos.get(v).is_some_and(|&p| p != ABSENT)
+    }
+
+    fn place(&mut self, i: usize, v: u32) {
+        self.heap[i] = v;
+        self.pos[v as usize] = i as u32;
+    }
+
+    fn sift_up(&mut self, mut i: usize, act: &[f64]) {
+        let v = self.heap[i];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if !Self::above(act, v, self.heap[parent]) {
+                break;
+            }
+            self.place(i, self.heap[parent]);
+            i = parent;
+        }
+        self.place(i, v);
+    }
+
+    fn sift_down(&mut self, mut i: usize, act: &[f64]) {
+        let v = self.heap[i];
+        loop {
+            let l = 2 * i + 1;
+            if l >= self.heap.len() {
+                break;
+            }
+            let r = l + 1;
+            let c = if r < self.heap.len() && Self::above(act, self.heap[r], self.heap[l]) {
+                r
+            } else {
+                l
+            };
+            if !Self::above(act, self.heap[c], v) {
+                break;
+            }
+            self.place(i, self.heap[c]);
+            i = c;
+        }
+        self.place(i, v);
+    }
+
+    /// Adds `v` unless it is already in the heap.
+    fn insert(&mut self, v: usize, act: &[f64]) {
+        if self.pos.len() <= v {
+            self.pos.resize(v + 1, ABSENT);
+        }
+        if self.pos[v] != ABSENT {
+            return;
+        }
+        self.heap.push(v as u32);
+        self.pos[v] = (self.heap.len() - 1) as u32;
+        self.sift_up(self.heap.len() - 1, act);
+    }
+
+    /// Restores order after `v`'s activity grew.
+    fn raised(&mut self, v: usize, act: &[f64]) {
+        if self.contains(v) {
+            self.sift_up(self.pos[v] as usize, act);
+        }
+    }
+
+    /// Removes and returns the top variable.
+    fn pop(&mut self, act: &[f64]) -> Option<usize> {
+        let top = *self.heap.first()?;
+        let last = self.heap.pop().expect("non-empty heap");
+        self.pos[top as usize] = ABSENT;
+        if !self.heap.is_empty() {
+            self.place(0, last);
+            self.sift_down(0, act);
+        }
+        Some(top as usize)
+    }
+
+    /// Refills the heap with variables `1..=n` (when a search starts, and
+    /// after a rescale, which can merge activities and so reorder ties).
+    fn rebuild(&mut self, n: usize, act: &[f64]) {
+        self.heap = (1..=n as u32).collect();
+        self.pos = vec![ABSENT; n + 1];
+        for (i, &v) in self.heap.iter().enumerate() {
+            self.pos[v as usize] = i as u32;
+        }
+        for i in (0..self.heap.len() / 2).rev() {
+            self.sift_down(i, act);
+        }
+    }
+}
+
 /// A CDCL solver instance.
 pub struct Solver {
     nvars: usize,
-    clauses: Vec<Vec<i32>>,
+    /// Literals of every clause (original and learned), back to back.
+    lits: Vec<i32>,
+    /// `(start, len)` of each clause in `lits`, indexed by clause id.
+    clauses: Vec<(u32, u32)>,
     /// Watch lists indexed by literal code (`2v` for `v`, `2v+1` for `-v`).
     watches: Vec<Vec<u32>>,
     /// Per-variable assignment: 0 unset, 1 true, -1 false.
@@ -49,9 +169,13 @@ pub struct Solver {
     qhead: usize,
     activity: Vec<f64>,
     var_inc: f64,
-    heap: std::collections::BinaryHeap<(u64, u32)>,
+    order: VarOrder,
     phase: Vec<bool>,
     ok: bool,
+    /// Conflict-analysis marks, all clear between analyses.
+    seen: Vec<bool>,
+    /// The clause `analyze` learned last (asserting literal first).
+    learnt: Vec<i32>,
     /// Search statistics for the last `solve`.
     pub stats: SatStats,
 }
@@ -76,6 +200,7 @@ impl Solver {
     pub fn new() -> Self {
         Solver {
             nvars: 0,
+            lits: Vec::new(),
             clauses: Vec::new(),
             watches: vec![Vec::new(); 2],
             assign: vec![0],
@@ -86,9 +211,11 @@ impl Solver {
             qhead: 0,
             activity: vec![0.0],
             var_inc: 1.0,
-            heap: std::collections::BinaryHeap::new(),
+            order: VarOrder::default(),
             phase: vec![false],
             ok: true,
+            seen: Vec::new(),
+            learnt: Vec::new(),
             stats: SatStats::default(),
         }
     }
@@ -103,7 +230,6 @@ impl Solver {
         self.phase.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
-        self.heap.push((0, self.nvars as u32));
         self.nvars as i32
     }
 
@@ -117,6 +243,7 @@ impl Solver {
         self.clauses.len()
     }
 
+    #[inline]
     fn lit_value(&self, l: i32) -> i8 {
         let a = self.assign[var(l)];
         if l < 0 {
@@ -132,37 +259,49 @@ impl Solver {
         if !self.ok {
             return;
         }
-        let mut c: Vec<i32> = Vec::with_capacity(lits.len());
+        // Build the clause in place at the arena's tail.
+        let start = self.lits.len();
         for &l in lits {
             debug_assert!(var(l) <= self.nvars, "clause uses unallocated var");
-            if self.lit_value(l) == 1 {
-                return; // satisfied at level 0
+            match self.lit_value(l) {
+                1 => {
+                    // satisfied at level 0
+                    self.lits.truncate(start);
+                    return;
+                }
+                -1 => continue, // false at level 0
+                _ => {}
             }
-            if self.lit_value(l) == -1 {
-                continue; // false at level 0
-            }
+            let c = &self.lits[start..];
             if c.contains(&-l) {
-                return; // tautology
+                // tautology
+                self.lits.truncate(start);
+                return;
             }
             if !c.contains(&l) {
-                c.push(l);
+                self.lits.push(l);
             }
         }
-        match c.len() {
+        match self.lits.len() - start {
             0 => self.ok = false,
             1 => {
-                self.enqueue(c[0], NO_REASON);
+                let unit = self.lits.pop().expect("one literal");
+                self.enqueue(unit, NO_REASON);
                 if self.propagate().is_some() {
                     self.ok = false;
                 }
             }
-            _ => {
-                let cr = self.clauses.len() as u32;
-                self.watches[lidx(c[0])].push(cr);
-                self.watches[lidx(c[1])].push(cr);
-                self.clauses.push(c);
-            }
+            n => self.attach(start, n),
         }
+    }
+
+    /// Records the clause at `lits[start..start + len]`, watching its
+    /// first two literals.
+    fn attach(&mut self, start: usize, len: usize) {
+        let cr = self.clauses.len() as u32;
+        self.watches[lidx(self.lits[start])].push(cr);
+        self.watches[lidx(self.lits[start + 1])].push(cr);
+        self.clauses.push((start as u32, len as u32));
     }
 
     fn enqueue(&mut self, l: i32, from: u32) {
@@ -185,34 +324,30 @@ impl Solver {
             let mut i = 0;
             while i < ws.len() {
                 let cr = ws[i];
-                let w0 = {
-                    let c = &mut self.clauses[cr as usize];
-                    if c[0] == fl {
-                        c.swap(0, 1);
-                    }
-                    debug_assert_eq!(c[1], fl);
-                    c[0]
-                };
+                let (start, len) = self.clauses[cr as usize];
+                let (s, e) = (start as usize, (start + len) as usize);
+                if self.lits[s] == fl {
+                    self.lits.swap(s, s + 1);
+                }
+                debug_assert_eq!(self.lits[s + 1], fl);
+                let w0 = self.lits[s];
                 if self.lit_value(w0) == 1 {
                     i += 1;
                     continue;
                 }
                 // Look for a replacement watch.
                 let mut moved = false;
-                {
-                    let c = &mut self.clauses[cr as usize];
-                    for k in 2..c.len() {
-                        if self.assign[var(c[k])] == 0
-                            || (c[k] > 0) == (self.assign[var(c[k])] == 1)
-                        {
-                            c.swap(1, k);
-                            moved = true;
-                            break;
-                        }
+                for k in s + 2..e {
+                    let q = self.lits[k];
+                    let a = self.assign[var(q)];
+                    if a == 0 || (q > 0) == (a == 1) {
+                        self.lits.swap(s + 1, k);
+                        moved = true;
+                        break;
                     }
                 }
                 if moved {
-                    let nw = self.clauses[cr as usize][1];
+                    let nw = self.lits[s + 1];
                     self.watches[lidx(nw)].push(cr);
                     ws.swap_remove(i);
                     continue;
@@ -238,47 +373,48 @@ impl Solver {
                 *a *= 1e-100;
             }
             self.var_inc *= 1e-100;
-            let snapshot: Vec<(u64, u32)> = (1..=self.nvars)
-                .map(|u| (self.activity[u].to_bits(), u as u32))
-                .collect();
-            self.heap = snapshot.into_iter().collect();
+            self.order.rebuild(self.nvars, &self.activity);
         } else {
-            self.heap.push((self.activity[v].to_bits(), v as u32));
+            self.order.raised(v, &self.activity);
         }
     }
 
-    /// First-UIP conflict analysis: returns the learned clause (asserting
-    /// literal first) and the backjump level.
-    fn analyze(&mut self, mut confl: u32) -> (Vec<i32>, u32) {
+    /// First-UIP conflict analysis: leaves the learned clause (asserting
+    /// literal first) in `self.learnt` and returns the backjump level.
+    fn analyze(&mut self, mut confl: u32) -> u32 {
         let cur = self.trail_lim.len() as u32;
-        let mut seen = vec![false; self.nvars + 1];
-        let mut learnt: Vec<i32> = vec![0];
+        if self.seen.len() <= self.nvars {
+            self.seen.resize(self.nvars + 1, false);
+        }
+        self.learnt.clear();
+        self.learnt.push(0);
         let mut counter = 0usize;
         let mut idx = self.trail.len();
         let mut p: i32 = 0;
         loop {
-            let start = if p == 0 { 0 } else { 1 };
-            let lits = self.clauses[confl as usize].clone();
-            for &q in &lits[start..] {
+            let (start, len) = self.clauses[confl as usize];
+            let from = if p == 0 { 0 } else { 1 };
+            for k in start as usize + from..(start + len) as usize {
+                let q = self.lits[k];
                 let v = var(q);
-                if !seen[v] && self.level[v] > 0 {
-                    seen[v] = true;
+                if !self.seen[v] && self.level[v] > 0 {
+                    self.seen[v] = true;
                     self.bump(v);
                     if self.level[v] == cur {
                         counter += 1;
                     } else {
-                        learnt.push(q);
+                        self.learnt.push(q);
                     }
                 }
             }
             loop {
                 idx -= 1;
                 p = self.trail[idx];
-                if seen[var(p)] {
+                if self.seen[var(p)] {
                     break;
                 }
             }
-            seen[var(p)] = false;
+            self.seen[var(p)] = false;
             counter -= 1;
             if counter == 0 {
                 break;
@@ -286,22 +422,26 @@ impl Solver {
             confl = self.reason[var(p)];
             debug_assert_ne!(confl, NO_REASON);
         }
-        learnt[0] = -p;
-        let bj = learnt[1..]
+        self.learnt[0] = -p;
+        // Only the lower-level literals are still marked.
+        for &q in &self.learnt[1..] {
+            self.seen[var(q)] = false;
+        }
+        let bj = self.learnt[1..]
             .iter()
             .map(|&q| self.level[var(q)])
             .max()
             .unwrap_or(0);
         // Put a max-level literal in the second watch slot.
-        if learnt.len() > 1 {
-            let k = learnt[1..]
+        if self.learnt.len() > 1 {
+            let k = self.learnt[1..]
                 .iter()
                 .position(|&q| self.level[var(q)] == bj)
                 .unwrap()
                 + 1;
-            learnt.swap(1, k);
+            self.learnt.swap(1, k);
         }
-        (learnt, bj)
+        bj
     }
 
     fn cancel_until(&mut self, lvl: u32) {
@@ -313,15 +453,16 @@ impl Solver {
                 self.phase[v] = l > 0;
                 self.assign[v] = 0;
                 self.reason[v] = NO_REASON;
-                self.heap.push((self.activity[v].to_bits(), v as u32));
+                self.order.insert(v, &self.activity);
             }
         }
         self.qhead = self.trail.len();
     }
 
+    /// Branches on the most active unassigned variable; false when every
+    /// variable is assigned (the heap holds all unassigned ones).
     fn decide(&mut self) -> bool {
-        while let Some((_, v)) = self.heap.pop() {
-            let v = v as usize;
+        while let Some(v) = self.order.pop(&self.activity) {
             if self.assign[v] == 0 {
                 self.trail_lim.push(self.trail.len());
                 let l = if self.phase[v] { v as i32 } else { -(v as i32) };
@@ -330,16 +471,7 @@ impl Solver {
                 return true;
             }
         }
-        // Lazy heap may miss vars never bumped: linear fallback.
-        for v in 1..=self.nvars {
-            if self.assign[v] == 0 {
-                self.trail_lim.push(self.trail.len());
-                let l = if self.phase[v] { v as i32 } else { -(v as i32) };
-                self.enqueue(l, NO_REASON);
-                self.stats.decisions += 1;
-                return true;
-            }
-        }
+        debug_assert!(self.assign[1..].iter().all(|&a| a != 0));
         false
     }
 
@@ -349,6 +481,7 @@ impl Solver {
         if !self.ok {
             return SolveResult::Unsat;
         }
+        self.order.rebuild(self.nvars, &self.activity);
         if self.propagate().is_some() {
             self.ok = false;
             return SolveResult::Unsat;
@@ -365,17 +498,17 @@ impl Solver {
                     self.cancel_until(0);
                     return SolveResult::Unknown;
                 }
-                let (learnt, bj) = self.analyze(confl);
+                let bj = self.analyze(confl);
                 self.cancel_until(bj);
                 self.stats.learned += 1;
-                if learnt.len() == 1 {
-                    self.enqueue(learnt[0], NO_REASON);
+                let l0 = self.learnt[0];
+                if self.learnt.len() == 1 {
+                    self.enqueue(l0, NO_REASON);
                 } else {
                     let cr = self.clauses.len() as u32;
-                    self.watches[lidx(learnt[0])].push(cr);
-                    self.watches[lidx(learnt[1])].push(cr);
-                    let l0 = learnt[0];
-                    self.clauses.push(learnt);
+                    let start = self.lits.len();
+                    self.lits.extend_from_slice(&self.learnt);
+                    self.attach(start, self.learnt.len());
                     self.enqueue(l0, cr);
                 }
                 self.var_inc *= 1.0 / 0.95;

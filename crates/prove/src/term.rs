@@ -24,11 +24,29 @@
 //! both sides share by the usual inductive argument: the init obligation
 //! makes the states equal at reset and the next-state obligations keep
 //! them equal.
-
-use std::collections::HashMap;
+//!
+//! # Layout
+//!
+//! Nodes live in one dense `Vec`, and operator operands in one shared
+//! arena `Vec<TermId>` (a node records its operand range). [`TermStore::term`]
+//! hands out a borrowed, `Copy` view of a node; nothing is cloned on a
+//! read. Interning is an open-addressed table of ids probed with an
+//! Fx-style hash of the view ([`crate::fx`]). Per-term side tables
+//! ([`TermMap`]) are vectors indexed by [`TermId`].
+//!
+//! Ids are topological: a node's operands are interned before it, so every
+//! operand id is smaller than its user's. Evaluating a cone in ascending
+//! id order ([`ConeEval`]) therefore visits operands first. Term ids, and
+//! with them the `terms` and `rewrite_steps` a certificate reports, are a
+//! function of the order in which constructors run; no hash-map iteration
+//! order ever reaches a constructor.
 
 use roccc_cparse::ops::{self, Fault, MAX_SHIFT};
 use roccc_cparse::types::IntType;
+
+use std::hash::{Hash, Hasher};
+
+use crate::fx::FxHasher;
 
 /// Index of a term in its [`TermStore`].
 pub type TermId = u32;
@@ -78,9 +96,10 @@ pub enum TOp {
     Lut(u32),
 }
 
-/// A node of the term DAG. Interned: equal nodes share one [`TermId`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum Term {
+/// A node of the term DAG, as a borrowed view into its [`TermStore`].
+/// Interned: equal nodes share one [`TermId`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Term<'a> {
     /// Raw 64-bit input-port word (see module docs for the lag convention).
     Var {
         /// Input port index into `FunctionIr::inputs`.
@@ -111,8 +130,19 @@ pub enum Term {
         /// The operator.
         op: TOp,
         /// Operands, in operator order.
-        args: Vec<TermId>,
+        args: &'a [TermId],
     },
+}
+
+/// Stored form of a node: [`Term`] with its operands as a range of the
+/// store's operand arena.
+#[derive(Debug, Clone, Copy)]
+enum Node {
+    Var { port: u32, lag: u32 },
+    FbVar { slot: u32, lag: u32 },
+    Const(i64),
+    Wrap { bits: u8, signed: bool, arg: TermId },
+    Op { op: TOp, start: u32, len: u32 },
 }
 
 /// Leaf lags observed in a term cone.
@@ -126,11 +156,85 @@ pub enum LagSet {
     Mixed,
 }
 
+/// A side table from [`TermId`] to `V`, dense over the ids it has seen.
+#[derive(Debug, Clone)]
+pub struct TermMap<V> {
+    slots: Vec<Option<V>>,
+}
+
+impl<V> Default for TermMap<V> {
+    fn default() -> Self {
+        TermMap { slots: Vec::new() }
+    }
+}
+
+impl<V: Copy> TermMap<V> {
+    /// An empty table.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The value recorded for `t`, if any.
+    #[inline]
+    pub fn get(&self, t: TermId) -> Option<V> {
+        self.slots.get(t as usize).copied().flatten()
+    }
+
+    /// Records `v` for `t`.
+    #[inline]
+    pub fn insert(&mut self, t: TermId, v: V) {
+        let i = t as usize;
+        if i >= self.slots.len() {
+            self.slots.resize(i + 1, None);
+        }
+        self.slots[i] = Some(v);
+    }
+}
+
+/// Intern hash of a node: one Fx word per field and operand.
+fn hash_term(t: Term<'_>) -> u64 {
+    let mut h = FxHasher::default();
+    match t {
+        Term::Var { port, lag } => {
+            h.write_u8(0);
+            h.write_u64((port as u64) << 32 | lag as u64);
+        }
+        Term::FbVar { slot, lag } => {
+            h.write_u8(1);
+            h.write_u64((slot as u64) << 32 | lag as u64);
+        }
+        Term::Const(v) => {
+            h.write_u8(2);
+            h.write_u64(v as u64);
+        }
+        Term::Wrap { bits, signed, arg } => {
+            h.write_u64(3 | (bits as u64) << 8 | (signed as u64) << 16);
+            h.write_u32(arg);
+        }
+        Term::Op { op, args } => {
+            h.write_u8(4);
+            op.hash(&mut h);
+            for &a in args {
+                h.write_u32(a);
+            }
+        }
+    }
+    h.finish()
+}
+
+/// Marker in the intern table for an empty slot.
+const EMPTY: TermId = TermId::MAX;
+
 /// Hash-consing store plus the leaf-type context needed by the interval
 /// analysis, the concrete evaluator, and the bit-blaster.
 pub struct TermStore {
-    terms: Vec<Term>,
-    intern: HashMap<Term, TermId>,
+    nodes: Vec<Node>,
+    /// Operands of every `Op` node, back to back.
+    operands: Vec<TermId>,
+    /// Intern hash of each node, for probing and rehashing.
+    hashes: Vec<u64>,
+    /// Open-addressed intern table of node ids (power-of-two length).
+    table: Vec<TermId>,
     /// Input-port types, indexed by `Var::port` (sampling hints only — a
     /// `Var` itself is the raw, unwrapped argument word).
     pub var_tys: Vec<IntType>,
@@ -140,51 +244,142 @@ pub struct TermStore {
     pub luts: Vec<Vec<i64>>,
     /// Count of simplification-rule firings (reported as `rewrite_steps`).
     pub steps: u64,
-    intervals: HashMap<TermId, Option<(i128, i128)>>,
+    intervals: TermMap<Option<(i128, i128)>>,
 }
 
 fn ty_bounds(ty: IntType) -> (i128, i128) {
     (ty.min_value() as i128, ty.max_value() as i128)
 }
 
+fn wrap_ty(bits: u8, signed: bool) -> IntType {
+    if signed {
+        IntType::signed(bits)
+    } else {
+        IntType::unsigned(bits)
+    }
+}
+
 impl TermStore {
     /// Creates an empty store with the given leaf-type context.
     pub fn new(var_tys: Vec<IntType>, fb_tys: Vec<IntType>) -> Self {
         TermStore {
-            terms: Vec::new(),
-            intern: HashMap::new(),
+            nodes: Vec::new(),
+            operands: Vec::new(),
+            hashes: Vec::new(),
+            table: vec![EMPTY; 64],
             var_tys,
             fb_tys,
             luts: Vec::new(),
             steps: 0,
-            intervals: HashMap::new(),
+            intervals: TermMap::new(),
         }
     }
 
-    /// Interns `t`, returning its id.
-    pub fn mk(&mut self, t: Term) -> TermId {
-        if let Some(&id) = self.intern.get(&t) {
-            return id;
+    /// Slot of `t` in the intern table, or of the empty slot it would take.
+    fn probe(&self, t: Term<'_>, hash: u64) -> Result<TermId, usize> {
+        let mask = self.table.len() - 1;
+        let mut i = hash as usize & mask;
+        loop {
+            let id = self.table[i];
+            if id == EMPTY {
+                return Err(i);
+            }
+            if self.hashes[id as usize] == hash && self.term(id) == t {
+                return Ok(id);
+            }
+            i = (i + 1) & mask;
         }
-        let id = self.terms.len() as TermId;
-        self.terms.push(t.clone());
-        self.intern.insert(t, id);
+    }
+
+    /// Doubles the intern table, re-placing every node by its hash.
+    fn grow_table(&mut self) {
+        let mut table = vec![EMPTY; self.table.len() * 2];
+        let mask = table.len() - 1;
+        for (id, &h) in self.hashes.iter().enumerate() {
+            let mut i = h as usize & mask;
+            while table[i] != EMPTY {
+                i = (i + 1) & mask;
+            }
+            table[i] = id as TermId;
+        }
+        self.table = table;
+    }
+
+    /// Interns `t`, returning its id.
+    pub fn mk(&mut self, t: Term<'_>) -> TermId {
+        let hash = hash_term(t);
+        let slot = match self.probe(t, hash) {
+            Ok(id) => return id,
+            Err(slot) => slot,
+        };
+        let node = match t {
+            Term::Var { port, lag } => Node::Var { port, lag },
+            Term::FbVar { slot, lag } => Node::FbVar { slot, lag },
+            Term::Const(v) => Node::Const(v),
+            Term::Wrap { bits, signed, arg } => Node::Wrap { bits, signed, arg },
+            Term::Op { op, args } => {
+                let start = self.operands.len() as u32;
+                self.operands.extend_from_slice(args);
+                Node::Op {
+                    op,
+                    start,
+                    len: args.len() as u32,
+                }
+            }
+        };
+        let id = self.nodes.len() as TermId;
+        self.nodes.push(node);
+        self.hashes.push(hash);
+        self.table[slot] = id;
+        if self.nodes.len() * 2 > self.table.len() {
+            self.grow_table();
+        }
         id
     }
 
     /// The node behind `id`.
-    pub fn term(&self, id: TermId) -> &Term {
-        &self.terms[id as usize]
+    #[inline]
+    pub fn term(&self, id: TermId) -> Term<'_> {
+        match self.nodes[id as usize] {
+            Node::Var { port, lag } => Term::Var { port, lag },
+            Node::FbVar { slot, lag } => Term::FbVar { slot, lag },
+            Node::Const(v) => Term::Const(v),
+            Node::Wrap { bits, signed, arg } => Term::Wrap { bits, signed, arg },
+            Node::Op { op, start, len } => Term::Op {
+                op,
+                args: &self.operands[start as usize..(start + len) as usize],
+            },
+        }
+    }
+
+    /// Number of operands of `id` (1 for a `Wrap`, 0 for a leaf).
+    #[inline]
+    pub fn arity(&self, id: TermId) -> usize {
+        match self.nodes[id as usize] {
+            Node::Op { len, .. } => len as usize,
+            Node::Wrap { .. } => 1,
+            _ => 0,
+        }
+    }
+
+    /// Operand `k` of `id` (the wrapped term of a `Wrap`).
+    #[inline]
+    pub fn arg(&self, id: TermId, k: usize) -> TermId {
+        match self.nodes[id as usize] {
+            Node::Op { start, .. } => self.operands[start as usize + k],
+            Node::Wrap { arg, .. } => arg,
+            _ => panic!("leaf term {id} has no operands"),
+        }
     }
 
     /// Number of interned nodes.
     pub fn len(&self) -> usize {
-        self.terms.len()
+        self.nodes.len()
     }
 
     /// True when no nodes have been interned yet.
     pub fn is_empty(&self) -> bool {
-        self.terms.is_empty()
+        self.nodes.is_empty()
     }
 
     /// Interns a ROM table (by raw contents), returning its table id.
@@ -215,9 +410,10 @@ impl TermStore {
         self.mk(Term::Const(v))
     }
 
+    #[inline]
     fn as_const(&self, id: TermId) -> Option<i64> {
-        match self.term(id) {
-            Term::Const(v) => Some(*v),
+        match self.nodes[id as usize] {
+            Node::Const(v) => Some(v),
             _ => None,
         }
     }
@@ -228,28 +424,35 @@ impl TermStore {
     /// `coeff * base` contributions (folding `Neg` and constant factors),
     /// sums coefficients wrapping, and drops zero terms.
     pub fn add(&mut self, args: Vec<TermId>) -> TermId {
-        let mut coeffs: HashMap<TermId, i64> = HashMap::new();
+        let mut parts: Vec<(TermId, i64)> = Vec::with_capacity(args.len());
         let mut konst: i64 = 0;
         let mut stack = args;
         while let Some(a) = stack.pop() {
-            match self.term(a).clone() {
+            match self.term(a) {
                 Term::Const(v) => konst = ops::add(konst, v),
-                Term::Op { op: TOp::Add, args } => stack.extend(args),
+                Term::Op { op: TOp::Add, args } => stack.extend_from_slice(args),
                 Term::Op { op: TOp::Neg, args } => {
+                    let x = args[0];
                     self.steps += 1;
-                    let (c, base) = self.coeff_of(args[0]);
-                    let e = coeffs.entry(base).or_insert(0);
-                    *e = ops::sub(*e, c);
+                    let (c, base) = self.coeff_of(x);
+                    parts.push((base, ops::neg(c)));
                 }
                 _ => {
                     let (c, base) = self.coeff_of(a);
-                    let e = coeffs.entry(base).or_insert(0);
-                    *e = ops::add(*e, c);
+                    parts.push((base, c));
                 }
             }
         }
-        let mut parts: Vec<(TermId, i64)> = coeffs.into_iter().filter(|&(_, c)| c != 0).collect();
+        // Merge contributions per base; wrapping sums are order-free.
         parts.sort_unstable_by_key(|&(b, _)| b);
+        parts.dedup_by(|next, kept| {
+            let same = next.0 == kept.0;
+            if same {
+                kept.1 = ops::add(kept.1, next.1);
+            }
+            same
+        });
+        parts.retain(|&(_, c)| c != 0);
         let mut out: Vec<TermId> = Vec::with_capacity(parts.len() + 1);
         if konst != 0 {
             out.push(self.cst(konst));
@@ -270,22 +473,22 @@ impl TermStore {
             1 => out[0],
             _ => self.mk(Term::Op {
                 op: TOp::Add,
-                args: out,
+                args: &out,
             }),
         }
     }
 
     /// Splits `t` into `(coefficient, base)` for sum collection.
     fn coeff_of(&mut self, t: TermId) -> (i64, TermId) {
-        if let Term::Op { op: TOp::Mul, args } = self.term(t).clone() {
+        if let Term::Op { op: TOp::Mul, args } = self.term(t) {
             if let Some(c) = self.as_const(args[0]) {
-                let rest = args[1..].to_vec();
-                let base = if rest.len() == 1 {
-                    rest[0]
+                let base = if args.len() == 2 {
+                    args[1]
                 } else {
+                    let rest = args[1..].to_vec();
                     self.mk(Term::Op {
                         op: TOp::Mul,
-                        args: rest,
+                        args: &rest,
                     })
                 };
                 return (c, base);
@@ -297,31 +500,35 @@ impl TermStore {
     fn mk_neg_raw(&mut self, t: TermId) -> TermId {
         self.mk(Term::Op {
             op: TOp::Neg,
-            args: vec![t],
+            args: &[t],
         })
     }
 
     /// Wrapping negation (distributes over sums, folds into products).
     pub fn neg(&mut self, a: TermId) -> TermId {
-        match self.term(a).clone() {
+        match self.term(a) {
             Term::Const(v) => {
                 self.steps += 1;
                 self.cst(ops::neg(v))
             }
             Term::Op { op: TOp::Neg, args } => {
+                let x = args[0];
                 self.steps += 1;
-                args[0]
+                x
             }
             Term::Op { op: TOp::Add, args } => {
+                let mut negd = args.to_vec();
                 self.steps += 1;
-                let negd: Vec<TermId> = args.iter().map(|&x| self.mk_neg_raw(x)).collect();
+                for x in negd.iter_mut() {
+                    *x = self.mk_neg_raw(*x);
+                }
                 self.add(negd)
             }
             Term::Op { op: TOp::Mul, args } if self.as_const(args[0]).is_some() => {
-                self.steps += 1;
                 let c = ops::neg(self.as_const(args[0]).unwrap());
-                let mut v = vec![self.cst(c)];
-                v.extend_from_slice(&args[1..]);
+                let mut v = args.to_vec();
+                self.steps += 1;
+                v[0] = self.cst(c);
                 self.mul(v)
             }
             _ => self.mk_neg_raw(a),
@@ -338,16 +545,17 @@ impl TermStore {
     /// signs are pulled out of `Neg` factors, factors sort by id.
     pub fn mul(&mut self, args: Vec<TermId>) -> TermId {
         let mut konst: i64 = 1;
-        let mut factors: Vec<TermId> = Vec::new();
+        let mut factors: Vec<TermId> = Vec::with_capacity(args.len() + 1);
         let mut stack = args;
         while let Some(a) = stack.pop() {
-            match self.term(a).clone() {
+            match self.term(a) {
                 Term::Const(v) => konst = ops::mul(konst, v),
-                Term::Op { op: TOp::Mul, args } => stack.extend(args),
+                Term::Op { op: TOp::Mul, args } => stack.extend_from_slice(args),
                 Term::Op { op: TOp::Neg, args } => {
+                    let x = args[0];
                     self.steps += 1;
                     konst = ops::neg(konst);
-                    stack.push(args[0]);
+                    stack.push(x);
                 }
                 _ => factors.push(a),
             }
@@ -365,18 +573,18 @@ impl TermStore {
         } else {
             self.mk(Term::Op {
                 op: TOp::Mul,
-                args: factors.clone(),
+                args: &factors,
             })
         };
         match konst {
             1 => core,
             -1 => self.mk_neg_raw(core),
             _ => {
-                let mut v = vec![self.cst(konst)];
-                v.extend(factors);
+                let k = self.cst(konst);
+                factors.insert(0, k);
                 self.mk(Term::Op {
                     op: TOp::Mul,
-                    args: v,
+                    args: &factors,
                 })
             }
         }
@@ -392,10 +600,10 @@ impl TermStore {
             _ => (0, None),
         };
         let mut konst = identity;
-        let mut rest: Vec<TermId> = Vec::new();
+        let mut rest: Vec<TermId> = Vec::with_capacity(args.len() + 1);
         let mut stack = args;
         while let Some(a) = stack.pop() {
-            match self.term(a).clone() {
+            match self.term(a) {
                 Term::Const(v) => {
                     konst = match op {
                         TOp::And => ops::and(konst, v),
@@ -403,7 +611,7 @@ impl TermStore {
                         _ => ops::xor(konst, v),
                     }
                 }
-                Term::Op { op: o2, args } if o2 == op => stack.extend(args),
+                Term::Op { op: o2, args } if o2 == op => stack.extend_from_slice(args),
                 _ => rest.push(a),
             }
         }
@@ -414,16 +622,17 @@ impl TermStore {
         rest.sort_unstable();
         if op == TOp::Xor {
             // pairs cancel
-            let mut kept: Vec<TermId> = Vec::new();
-            for a in rest {
-                if kept.last() == Some(&a) {
+            let mut kept = 0;
+            for i in 0..rest.len() {
+                if kept > 0 && rest[kept - 1] == rest[i] {
                     self.steps += 1;
-                    kept.pop();
+                    kept -= 1;
                 } else {
-                    kept.push(a);
+                    rest[kept] = rest[i];
+                    kept += 1;
                 }
             }
-            rest = kept;
+            rest.truncate(kept);
         } else {
             let before = rest.len();
             rest.dedup();
@@ -431,32 +640,32 @@ impl TermStore {
                 self.steps += 1;
             }
         }
-        let mut out = Vec::with_capacity(rest.len() + 1);
         if konst != identity {
-            out.push(self.cst(konst));
+            let k = self.cst(konst);
+            rest.insert(0, k);
         }
-        out.extend(rest);
-        match out.len() {
+        match rest.len() {
             0 => self.cst(identity),
-            1 => out[0],
-            _ => self.mk(Term::Op { op, args: out }),
+            1 => rest[0],
+            _ => self.mk(Term::Op { op, args: &rest }),
         }
     }
 
     /// Bitwise complement.
     pub fn not(&mut self, a: TermId) -> TermId {
-        match self.term(a).clone() {
+        match self.term(a) {
             Term::Const(v) => {
                 self.steps += 1;
                 self.cst(ops::not(v))
             }
             Term::Op { op: TOp::Not, args } => {
+                let x = args[0];
                 self.steps += 1;
-                args[0]
+                x
             }
             _ => self.mk(Term::Op {
                 op: TOp::Not,
-                args: vec![a],
+                args: &[a],
             }),
         }
     }
@@ -475,7 +684,7 @@ impl TermStore {
         }
         self.mk(Term::Op {
             op: TOp::Bool,
-            args: vec![a],
+            args: &[a],
         })
     }
 
@@ -497,7 +706,7 @@ impl TermStore {
         }
         self.mk(Term::Op {
             op: TOp::ShAmt,
-            args: vec![a],
+            args: &[a],
         })
     }
 
@@ -516,7 +725,7 @@ impl TermStore {
         }
         self.mk(Term::Op {
             op: TOp::Shl,
-            args: vec![x, amt],
+            args: &[x, amt],
         })
     }
 
@@ -533,7 +742,7 @@ impl TermStore {
         }
         self.mk(Term::Op {
             op: TOp::Shr,
-            args: vec![x, amt],
+            args: &[x, amt],
         })
     }
 
@@ -569,10 +778,7 @@ impl TermStore {
         } else {
             (a, b)
         };
-        self.mk(Term::Op {
-            op,
-            args: vec![a, b],
-        })
+        self.mk(Term::Op { op, args: &[a, b] })
     }
 
     /// `c != 0 ? t : e` with constant-condition and equal-branch folding.
@@ -586,13 +792,14 @@ impl TermStore {
             return t;
         }
         // Bool(c) != 0  ⟺  c != 0: drop the coercion inside a mux guard.
-        let c = match self.term(c).clone() {
+        let c = match self.term(c) {
             Term::Op {
                 op: TOp::Bool,
                 args,
             } => {
+                let x = args[0];
                 self.steps += 1;
-                args[0]
+                x
             }
             _ => c,
         };
@@ -606,7 +813,7 @@ impl TermStore {
         }
         self.mk(Term::Op {
             op: TOp::Mux,
-            args: vec![c, t, e],
+            args: &[c, t, e],
         })
     }
 
@@ -620,7 +827,7 @@ impl TermStore {
         }
         self.mk(Term::Op {
             op: TOp::Lut(table),
-            args: vec![idx],
+            args: &[idx],
         })
     }
 
@@ -644,7 +851,7 @@ impl TermStore {
         }
         // Wrap_b(Wrap_b2(x)) = Wrap_b(x) when b <= b2: truncation keeps the
         // low b bits, which the wider inner wrap left untouched.
-        if let Term::Wrap { bits: b2, arg, .. } = *self.term(a) {
+        if let Term::Wrap { bits: b2, arg, .. } = self.term(a) {
             if ty.bits <= b2 {
                 self.steps += 1;
                 return self.wrap(ty, arg);
@@ -662,8 +869,8 @@ impl TermStore {
     /// Conservative value interval of `t` (treating leaves as ranging over
     /// their full port/slot types), or `None` when unbounded/unknown.
     pub fn interval(&mut self, t: TermId) -> Option<(i128, i128)> {
-        if let Some(v) = self.intervals.get(&t) {
-            return *v;
+        if let Some(v) = self.intervals.get(t) {
+            return v;
         }
         let r = self.interval_inner(t);
         // Every term denotes wrap64(mathematical value), while Add/Mul
@@ -678,7 +885,7 @@ impl TermStore {
     }
 
     fn interval_inner(&mut self, t: TermId) -> Option<(i128, i128)> {
-        match self.term(t).clone() {
+        match self.term(t) {
             Term::Const(v) => Some((v as i128, v as i128)),
             // A `Var` is the raw argument word: unbounded.
             Term::Var { .. } => None,
@@ -687,28 +894,26 @@ impl TermStore {
                 Some(ty_bounds(ty))
             }
             Term::Wrap { bits, signed, arg } => {
-                let ty = if signed {
-                    IntType::signed(bits)
-                } else {
-                    IntType::unsigned(bits)
-                };
-                let (tmin, tmax) = ty_bounds(ty);
+                let (tmin, tmax) = ty_bounds(wrap_ty(bits, signed));
                 match self.interval(arg) {
                     Some((lo, hi)) if lo >= tmin && hi <= tmax => Some((lo, hi)),
                     _ => Some((tmin, tmax)),
                 }
             }
-            Term::Op { op, args } => self.interval_op(op, &args),
+            Term::Op { op, .. } => self.interval_op(op, t),
         }
     }
 
-    fn interval_op(&mut self, op: TOp, args: &[TermId]) -> Option<(i128, i128)> {
+    /// Interval of the operator node `t` (operands are re-read by index,
+    /// since computing their intervals may grow the store).
+    fn interval_op(&mut self, op: TOp, t: TermId) -> Option<(i128, i128)> {
+        let n = self.arity(t);
         match op {
             TOp::Add => {
                 let mut lo = 0i128;
                 let mut hi = 0i128;
-                for &a in args {
-                    let (l, h) = self.interval(a)?;
+                for k in 0..n {
+                    let (l, h) = self.interval(self.arg(t, k))?;
                     lo = lo.checked_add(l)?;
                     hi = hi.checked_add(h)?;
                 }
@@ -716,8 +921,8 @@ impl TermStore {
             }
             TOp::Mul => {
                 let (mut lo, mut hi) = (1i128, 1i128);
-                for &a in args {
-                    let (l, h) = self.interval(a)?;
+                for k in 0..n {
+                    let (l, h) = self.interval(self.arg(t, k))?;
                     let cands = [
                         lo.checked_mul(l)?,
                         lo.checked_mul(h)?,
@@ -730,15 +935,15 @@ impl TermStore {
                 Some((lo, hi))
             }
             TOp::Neg => {
-                let (l, h) = self.interval(args[0])?;
+                let (l, h) = self.interval(self.arg(t, 0))?;
                 Some((h.checked_neg()?, l.checked_neg()?))
             }
             TOp::And => {
                 // The result's set bits are a subset of every operand's, so
                 // any operand known non-negative bounds it to [0, operand].
                 let mut hi: Option<i128> = None;
-                for &a in args {
-                    if let Some((l, h)) = self.interval(a) {
+                for k in 0..n {
+                    if let Some((l, h)) = self.interval(self.arg(t, k)) {
                         if l >= 0 {
                             hi = Some(hi.map_or(h, |m: i128| m.min(h)));
                         }
@@ -751,8 +956,8 @@ impl TermStore {
                 // power of two clearing every operand; or is also >= each.
                 let mut lo = 0i128;
                 let mut hi = 0i128;
-                for &a in args {
-                    let (l, h) = self.interval(a)?;
+                for k in 0..n {
+                    let (l, h) = self.interval(self.arg(t, k))?;
                     if l < 0 {
                         return None;
                     }
@@ -767,31 +972,31 @@ impl TermStore {
             TOp::Slt | TOp::Sle | TOp::Seq | TOp::Sne | TOp::Bool => Some((0, 1)),
             TOp::ShAmt => Some((0, MAX_SHIFT as i128)),
             TOp::Mux => {
-                let (mut tl, th) = self.interval(args[1])?;
-                let (el, eh) = self.interval(args[2])?;
+                let (cond, then_arm) = (self.arg(t, 0), self.arg(t, 1));
+                let (mut tl, th) = self.interval(then_arm)?;
+                let (el, eh) = self.interval(self.arg(t, 2))?;
                 // Guard-aware clamp: a condition `a <= b` (or `a < b`) whose
                 // then-arm is canonically `b - a` proves that arm >= 0 (>= 1)
                 // — the pattern restoring dividers/square roots build.
                 if let Term::Op {
-                    op: c_op,
-                    args: c_args,
-                } = self.term(args[0]).clone()
+                    op: c_op @ (TOp::Sle | TOp::Slt),
+                    args,
+                } = self.term(cond)
                 {
-                    if matches!(c_op, TOp::Sle | TOp::Slt) {
-                        let diff = self.sub(c_args[1], c_args[0]);
-                        if diff == args[1] {
-                            tl = tl.max(if c_op == TOp::Slt { 1 } else { 0 });
-                        }
+                    let (a, b) = (args[0], args[1]);
+                    let diff = self.sub(b, a);
+                    if diff == then_arm {
+                        tl = tl.max(if c_op == TOp::Slt { 1 } else { 0 });
                     }
                 }
                 Some((tl.min(el), th.max(eh)))
             }
             TOp::Shr => {
-                let (l, h) = self.interval(args[0])?;
+                let (l, h) = self.interval(self.arg(t, 0))?;
                 // An arithmetic shift by a fixed amount is monotone (floor
                 // division by 2^k), so the bounds shift with the operand
                 // regardless of sign.
-                if let Term::Const(k) = *self.term(args[1]) {
+                if let Some(k) = self.as_const(self.arg(t, 1)) {
                     let k = sh_amt_value(k);
                     return Some((l >> k, h >> k));
                 }
@@ -813,26 +1018,23 @@ impl TermStore {
 
     // ---- lag transforms -----------------------------------------------
 
-    /// Returns `t` with every leaf lag increased by `delta` (crossing a
-    /// gateless pipeline register).
-    pub fn shift_lags(
+    /// Rebuilds `t` with every leaf replaced by `leaf(self, leaf_term)`,
+    /// memoized in `cache`.
+    fn map_leaves(
         &mut self,
         t: TermId,
-        delta: u32,
-        cache: &mut HashMap<TermId, TermId>,
+        cache: &mut TermMap<TermId>,
+        leaf: &impl Fn(&mut Self, Term<'static>) -> TermId,
     ) -> TermId {
-        if delta == 0 {
-            return t;
-        }
-        if let Some(&r) = cache.get(&t) {
+        if let Some(r) = cache.get(t) {
             return r;
         }
-        let r = match self.term(t).clone() {
-            Term::Var { port, lag } => self.var(port, lag + delta),
-            Term::FbVar { slot, lag } => self.fb(slot, lag + delta),
+        let r = match self.term(t) {
+            Term::Var { port, lag } => leaf(self, Term::Var { port, lag }),
+            Term::FbVar { slot, lag } => leaf(self, Term::FbVar { slot, lag }),
             Term::Const(_) => t,
             Term::Wrap { bits, signed, arg } => {
-                let a = self.shift_lags(arg, delta, cache);
+                let a = self.map_leaves(arg, cache, leaf);
                 self.mk(Term::Wrap {
                     bits,
                     signed,
@@ -840,29 +1042,42 @@ impl TermStore {
                 })
             }
             Term::Op { op, args } => {
-                let na: Vec<TermId> = args
-                    .iter()
-                    .map(|&a| self.shift_lags(a, delta, cache))
-                    .collect();
-                self.mk(Term::Op { op, args: na })
+                let mut na = args.to_vec();
+                for x in na.iter_mut() {
+                    *x = self.map_leaves(*x, cache, leaf);
+                }
+                self.mk(Term::Op { op, args: &na })
             }
         };
         cache.insert(t, r);
         r
     }
 
+    /// Returns `t` with every leaf lag increased by `delta` (crossing a
+    /// gateless pipeline register).
+    pub fn shift_lags(&mut self, t: TermId, delta: u32, cache: &mut TermMap<TermId>) -> TermId {
+        if delta == 0 {
+            return t;
+        }
+        self.map_leaves(t, cache, &|s, leaf| match leaf {
+            Term::Var { port, lag } => s.var(port, lag + delta),
+            Term::FbVar { slot, lag } => s.fb(slot, lag + delta),
+            _ => unreachable!("map_leaves passes leaves only"),
+        })
+    }
+
     /// Collects the set of leaf lags in `t`'s cone.
-    pub fn lags(&self, t: TermId, cache: &mut HashMap<TermId, LagSet>) -> LagSet {
-        if let Some(&r) = cache.get(&t) {
+    pub fn lags(&self, t: TermId, cache: &mut TermMap<LagSet>) -> LagSet {
+        if let Some(r) = cache.get(t) {
             return r;
         }
         let r = match self.term(t) {
-            Term::Var { lag, .. } | Term::FbVar { lag, .. } => LagSet::Uniform(*lag),
+            Term::Var { lag, .. } | Term::FbVar { lag, .. } => LagSet::Uniform(lag),
             Term::Const(_) => LagSet::Empty,
-            Term::Wrap { arg, .. } => self.lags(*arg, cache),
+            Term::Wrap { arg, .. } => self.lags(arg, cache),
             Term::Op { args, .. } => {
                 let mut acc = LagSet::Empty;
-                for &a in args.clone().iter() {
+                for &a in args {
                     let la = self.lags(a, cache);
                     acc = match (acc, la) {
                         (LagSet::Empty, x) | (x, LagSet::Empty) => x,
@@ -881,90 +1096,99 @@ impl TermStore {
     }
 
     /// Returns `t` with every leaf lag reset to 0 (window-relative form).
-    pub fn strip_lags(&mut self, t: TermId, cache: &mut HashMap<TermId, TermId>) -> TermId {
-        if let Some(&r) = cache.get(&t) {
-            return r;
-        }
-        let r = match self.term(t).clone() {
-            Term::Var { port, .. } => self.var(port, 0),
-            Term::FbVar { slot, .. } => self.fb(slot, 0),
-            Term::Const(_) => t,
-            Term::Wrap { bits, signed, arg } => {
-                let a = self.strip_lags(arg, cache);
-                self.mk(Term::Wrap {
-                    bits,
-                    signed,
-                    arg: a,
-                })
-            }
-            Term::Op { op, args } => {
-                let na: Vec<TermId> = args.iter().map(|&a| self.strip_lags(a, cache)).collect();
-                self.mk(Term::Op { op, args: na })
-            }
+    pub fn strip_lags(&mut self, t: TermId, cache: &mut TermMap<TermId>) -> TermId {
+        self.map_leaves(t, cache, &|s, leaf| match leaf {
+            Term::Var { port, .. } => s.var(port, 0),
+            Term::FbVar { slot, .. } => s.fb(slot, 0),
+            _ => unreachable!("map_leaves passes leaves only"),
+        })
+    }
+
+    // ---- cones ----------------------------------------------------------
+
+    /// Every node reachable from `roots`, in ascending (topological) id
+    /// order.
+    pub fn cone(&self, roots: &[TermId]) -> Vec<TermId> {
+        let Some(&top) = roots.iter().max() else {
+            return Vec::new();
         };
-        cache.insert(t, r);
-        r
+        let mut live = vec![false; top as usize + 1];
+        for &r in roots {
+            live[r as usize] = true;
+        }
+        // Operands have smaller ids than their users, so one downward
+        // sweep marks the whole cone.
+        for t in (0..=top).rev() {
+            if live[t as usize] {
+                for k in 0..self.arity(t) {
+                    live[self.arg(t, k) as usize] = true;
+                }
+            }
+        }
+        (0..=top).filter(|&t| live[t as usize]).collect()
     }
 
     /// True when any node of `t`'s cone is in `set`.
-    pub fn cone_intersects(&self, t: TermId, set: &std::collections::HashSet<TermId>) -> bool {
-        let mut seen = std::collections::HashSet::new();
-        let mut stack = vec![t];
-        while let Some(x) = stack.pop() {
-            if !seen.insert(x) {
-                continue;
-            }
-            if set.contains(&x) {
-                return true;
-            }
-            match self.term(x) {
-                Term::Wrap { arg, .. } => stack.push(*arg),
-                Term::Op { args, .. } => stack.extend(args.iter().copied()),
-                _ => {}
-            }
+    pub fn cone_intersects(&self, t: TermId, set: &[TermId]) -> bool {
+        if set.is_empty() {
+            return false;
         }
-        false
+        let cone = self.cone(&[t]);
+        set.iter().any(|x| cone.binary_search(x).is_ok())
     }
 
     // ---- concrete evaluation ------------------------------------------
 
-    /// Evaluates `t` over one window: `vars[p]` is the (wrapped) value of
-    /// input port `p`, `fbs[s]` the (wrapped) state of slot `s`. Lags are
-    /// ignored — all leaves read the same window. Division by zero and
-    /// out-of-range lookups follow the benign netlist semantics (0), which
-    /// is safe here because candidates are always confirmed by replay.
-    pub fn eval(
-        &self,
-        t: TermId,
-        vars: &[i64],
-        fbs: &[i64],
-        cache: &mut HashMap<TermId, i64>,
-    ) -> i64 {
-        if let Some(&v) = cache.get(&t) {
-            return v;
+    /// Evaluates `t` over one window (see [`ConeEval`] for the semantics;
+    /// use one directly to evaluate the same cone repeatedly).
+    pub fn eval(&self, t: TermId, vars: &[i64], fbs: &[i64]) -> i64 {
+        let mut e = ConeEval::new(self, &[t]);
+        e.run(self, vars, fbs);
+        e.value(t)
+    }
+}
+
+/// Repeated concrete evaluation of one fixed cone: the cone is collected
+/// once, and every [`ConeEval::run`] evaluates it in ascending id order
+/// (operands before users) into one reused value buffer.
+///
+/// `vars[p]` is the value of input port `p`, `fbs[s]` the (wrapped) state
+/// of slot `s`. Lags are ignored — all leaves read the same window.
+/// Division by zero and out-of-range lookups follow the benign netlist
+/// semantics (0), which is safe because candidates are always confirmed
+/// by replay.
+pub struct ConeEval {
+    cone: Vec<TermId>,
+    vals: Vec<i64>,
+}
+
+impl ConeEval {
+    /// Prepares to evaluate the cone of `roots`.
+    pub fn new(store: &TermStore, roots: &[TermId]) -> Self {
+        let cone = store.cone(roots);
+        let vals = vec![0; cone.last().map_or(0, |&t| t as usize + 1)];
+        ConeEval { cone, vals }
+    }
+
+    /// Evaluates every node of the cone for one leaf assignment.
+    pub fn run(&mut self, store: &TermStore, vars: &[i64], fbs: &[i64]) {
+        let vals = &mut self.vals;
+        for &t in &self.cone {
+            let v = match store.term(t) {
+                Term::Const(v) => v,
+                Term::Var { port, .. } => vars.get(port as usize).copied().unwrap_or(0),
+                Term::FbVar { slot, .. } => fbs.get(slot as usize).copied().unwrap_or(0),
+                Term::Wrap { bits, signed, arg } => wrap_ty(bits, signed).wrap(vals[arg as usize]),
+                Term::Op { op, args } => eval_op(op, args, vals, &store.luts),
+            };
+            vals[t as usize] = v;
         }
-        let v = match self.term(t).clone() {
-            Term::Const(v) => v,
-            Term::Var { port, .. } => vars.get(port as usize).copied().unwrap_or(0),
-            Term::FbVar { slot, .. } => fbs.get(slot as usize).copied().unwrap_or(0),
-            Term::Wrap { bits, signed, arg } => {
-                let ty = if signed {
-                    IntType::signed(bits)
-                } else {
-                    IntType::unsigned(bits)
-                };
-                ty.wrap(self.eval(arg, vars, fbs, cache))
-            }
-            Term::Op { op, args } => {
-                let xs: Vec<i64> = args
-                    .iter()
-                    .map(|&a| self.eval(a, vars, fbs, cache))
-                    .collect();
-                eval_op(op, &xs, &self.luts)
-            }
-        };
-        cache.insert(t, v);
-        v
+    }
+
+    /// The value of `t` (a node of the cone) after the last `run`.
+    #[inline]
+    pub fn value(&self, t: TermId) -> i64 {
+        self.vals[t as usize]
     }
 }
 
@@ -1007,22 +1231,27 @@ fn fold2(op: TOp, a: i64, b: i64) -> Option<i64> {
     }
 }
 
-/// Operator semantics for the concrete evaluator.
-fn eval_op(op: TOp, xs: &[i64], luts: &[Vec<i64>]) -> i64 {
+/// Operator semantics for the concrete evaluator: operand `k` reads
+/// `vals[args[k]]`.
+fn eval_op(op: TOp, args: &[TermId], vals: &[i64], luts: &[Vec<i64>]) -> i64 {
+    let x = |k: usize| vals[args[k] as usize];
+    let fold = |init: i64, f: fn(i64, i64) -> i64| {
+        args.iter().fold(init, |acc, &a| f(acc, vals[a as usize]))
+    };
     match op {
-        TOp::Add => xs.iter().fold(0, |a, &b| ops::add(a, b)),
-        TOp::Mul => xs.iter().fold(1, |a, &b| ops::mul(a, b)),
-        TOp::And => xs.iter().fold(-1, |a, &b| ops::and(a, b)),
-        TOp::Or => xs.iter().fold(0, |a, &b| ops::or(a, b)),
-        TOp::Xor => xs.iter().fold(0, |a, &b| ops::xor(a, b)),
-        TOp::Neg => ops::neg(xs[0]),
-        TOp::Not => ops::not(xs[0]),
-        TOp::Bool => ops::truth(xs[0]),
-        TOp::ShAmt => sh_amt_value(xs[0]),
-        TOp::Mux => ops::select(xs[0], xs[1], xs[2]),
-        TOp::Lut(t) => settle(ops::lut(&luts[t as usize], xs[0]), xs[0]).unwrap_or(0),
+        TOp::Add => fold(0, ops::add),
+        TOp::Mul => fold(1, ops::mul),
+        TOp::And => fold(-1, ops::and),
+        TOp::Or => fold(0, ops::or),
+        TOp::Xor => fold(0, ops::xor),
+        TOp::Neg => ops::neg(x(0)),
+        TOp::Not => ops::not(x(0)),
+        TOp::Bool => ops::truth(x(0)),
+        TOp::ShAmt => sh_amt_value(x(0)),
+        TOp::Mux => ops::select(x(0), x(1), x(2)),
+        TOp::Lut(t) => settle(ops::lut(&luts[t as usize], x(0)), x(0)).unwrap_or(0),
         TOp::Div | TOp::Rem | TOp::Slt | TOp::Sle | TOp::Seq | TOp::Sne | TOp::Shl | TOp::Shr => {
-            fold2(op, xs[0], xs[1]).unwrap_or(0)
+            fold2(op, x(0), x(1)).unwrap_or(0)
         }
     }
 }
@@ -1052,7 +1281,7 @@ mod tests {
         let mut s = store();
         let a = s.var(0, 0);
         let z = s.sub(a, a);
-        assert_eq!(s.term(z), &Term::Const(0));
+        assert_eq!(s.term(z), Term::Const(0));
         // a + a + a == 3*a
         let t = s.add(vec![a, a, a]);
         let c3 = s.cst(3);
@@ -1105,9 +1334,8 @@ mod tests {
         // At a = b = 2^32 - 1 the wrapped product is negative: the shift
         // yields -2 and the retained u33 wrap restores 8589934590.
         let v = u32::MAX as i64;
-        let mut cache = HashMap::new();
-        assert_eq!(s.eval(sh, &[v, v], &[], &mut cache), -2);
-        assert_eq!(s.eval(w, &[v, v], &[], &mut cache), 8589934590);
+        assert_eq!(s.eval(sh, &[v, v], &[]), -2);
+        assert_eq!(s.eval(w, &[v, v], &[]), 8589934590);
     }
 
     #[test]
@@ -1126,8 +1354,7 @@ mod tests {
         let b = s.var(1, 0);
         let m = s.mul(vec![a, b]);
         let t = s.add(vec![m, a]);
-        let mut cache = HashMap::new();
-        let v = s.eval(t, &[7, -3], &[], &mut cache);
+        let v = s.eval(t, &[7, -3], &[]);
         assert_eq!(v, 7i64.wrapping_mul(-3) + 7);
     }
 
@@ -1166,15 +1393,54 @@ mod tests {
         let a = s.var(0, 0);
         let b = s.var(1, 2);
         let t = s.add(vec![a, b]);
-        let mut c1 = HashMap::new();
-        let sh = s.shift_lags(t, 3, &mut c1);
-        let mut lc = HashMap::new();
-        assert_eq!(s.lags(sh, &mut lc), LagSet::Mixed);
-        let mut c2 = HashMap::new();
-        let st = s.strip_lags(sh, &mut c2);
+        let sh = s.shift_lags(t, 3, &mut TermMap::new());
+        assert_eq!(s.lags(sh, &mut TermMap::new()), LagSet::Mixed);
+        let st = s.strip_lags(sh, &mut TermMap::new());
         let a0 = s.var(0, 0);
         let b0 = s.var(1, 0);
         let expect = s.add(vec![a0, b0]);
         assert_eq!(st, expect);
+    }
+
+    #[test]
+    fn ids_are_topological_and_interning_survives_growth() {
+        let mut s = store();
+        let mut acc = s.var(0, 0);
+        let mut ids = vec![acc];
+        for k in 0..500 {
+            let c = s.cst(k);
+            let b = s.var(1, k as u32);
+            let p = s.mul(vec![c, b]);
+            acc = s.add(vec![acc, p]);
+            ids.push(acc);
+        }
+        for t in 0..s.len() as TermId {
+            for k in 0..s.arity(t) {
+                assert!(s.arg(t, k) < t, "operand of {t} is not older than it");
+            }
+        }
+        // Re-interning after the table grew finds the same nodes.
+        let again = s.add(vec![ids[1], ids[2]]);
+        let n = s.len();
+        assert_eq!(s.add(vec![ids[2], ids[1]]), again);
+        assert_eq!(s.len(), n);
+    }
+
+    #[test]
+    fn cone_eval_matches_per_root_eval() {
+        let mut s = store();
+        let a = s.var(0, 0);
+        let b = s.var(1, 0);
+        let w = s.wrap(IntType::unsigned(8), a);
+        let m = s.mul(vec![w, b]);
+        let k = s.cst(3);
+        let sh = s.shr(m, k);
+        let d = s.op2(TOp::Div, sh, b);
+        let mut e = ConeEval::new(&s, &[d, m]);
+        for vars in [[7, -3], [300, 0], [-1, 5]] {
+            e.run(&s, &vars, &[]);
+            assert_eq!(e.value(d), s.eval(d, &vars, &[]));
+            assert_eq!(e.value(m), s.eval(m, &vars, &[]));
+        }
     }
 }

@@ -226,20 +226,24 @@ pub struct PhaseTimings {
     pub datapath: Duration,
     /// RTL netlist materialization + verification.
     pub netlist: Duration,
+    /// Translation validation of the netlist against the IR (zero unless
+    /// the compile ran with [`CompileOptions::prove`]).
+    pub prove: Duration,
     /// VHDL rendering (charged by the caller, not by `compile`).
     pub vhdl: Duration,
 }
 
 impl PhaseTimings {
     /// Phase names, in pipeline order, matching [`PhaseTimings::get`].
-    pub const PHASES: [&'static str; 6] =
-        ["parse", "hlir", "suifvm", "datapath", "netlist", "vhdl"];
+    pub const PHASES: [&'static str; 7] = [
+        "parse", "hlir", "suifvm", "datapath", "netlist", "prove", "vhdl",
+    ];
 
     /// The timing for phase index `i` of [`PhaseTimings::PHASES`].
     ///
     /// # Panics
     ///
-    /// Panics if `i >= 6`.
+    /// Panics if `i >= 7`.
     pub fn get(&self, i: usize) -> Duration {
         [
             self.parse,
@@ -247,6 +251,7 @@ impl PhaseTimings {
             self.suifvm,
             self.datapath,
             self.netlist,
+            self.prove,
             self.vhdl,
         ][i]
     }
@@ -810,12 +815,14 @@ pub fn compile_with_model_timed(
         )?;
     }
 
+    timings.netlist += t0.elapsed();
+
     // Translation validation: certify the netlist against the optimized
     // IR. Findings gate at least at `Warn` — asking for a proof and then
     // ignoring a refutation would be worse than not proving at all.
-    // Charged to the netlist phase slot (it certifies that artifact).
     let mut certificate = None;
     if opts.prove && opts.family_enabled('E') {
+        let t0 = Instant::now();
         let cert = roccc_prove::prove(&ir, &netlist, func, &roccc_prove::ProveOptions::default());
         let findings = roccc_prove::verify_certificate_diags(&cert, &ir, &netlist);
         certificate = Some(cert);
@@ -824,9 +831,9 @@ pub fn compile_with_model_timed(
         } else {
             opts.verify
         };
+        timings.prove += t0.elapsed();
         gate_findings(level, filter_families(opts, findings), &mut diagnostics)?;
     }
-    timings.netlist += t0.elapsed();
 
     Ok(Compiled {
         kernel,
@@ -1162,6 +1169,26 @@ mod tests {
         assert!(roccc_prove::verify_certificate_diags(cert, &hw.ir, &hw.netlist).is_empty());
         let json = hw.prove_json().unwrap();
         assert!(json.contains("\"schema\": \"roccc-prove-v1\""));
+    }
+
+    #[test]
+    fn prove_time_has_its_own_phase_slot() {
+        let proving = CompileOptions {
+            prove: true,
+            ..CompileOptions::default()
+        };
+        let (_, t) = compile_timed(FIR, "fir", &proving).unwrap();
+        assert!(
+            t.prove > Duration::ZERO,
+            "a proving compile charges `prove`"
+        );
+        let i = PhaseTimings::PHASES
+            .iter()
+            .position(|&p| p == "prove")
+            .unwrap();
+        assert_eq!(t.get(i), t.prove);
+        let (_, t) = compile_timed(FIR, "fir", &CompileOptions::default()).unwrap();
+        assert_eq!(t.prove, Duration::ZERO, "no proof, no prove time");
     }
 
     #[test]

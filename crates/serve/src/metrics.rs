@@ -167,7 +167,7 @@ pub struct Metrics {
     /// End-to-end request latency (all compile requests).
     pub request_latency: Histogram,
     /// Per-phase compile latency, indexed like [`PhaseTimings::PHASES`].
-    pub phase_latency: [Histogram; 6],
+    pub phase_latency: [Histogram; PhaseTimings::PHASES.len()],
 }
 
 impl Metrics {
@@ -374,5 +374,6 @@ mod tests {
         assert!(text.contains("roccc_phase_seconds_bucket{phase=\"parse\",le=\"0.001\"} 1"));
         // Zero-duration phases are not recorded.
         assert!(text.contains("roccc_phase_seconds_count{phase=\"vhdl\"} 0"));
+        assert!(text.contains("roccc_phase_seconds_count{phase=\"prove\"} 0"));
     }
 }

@@ -550,13 +550,14 @@ fn render_stats(entry: &CacheEntry) -> String {
     }
     let t = &entry.timings;
     s.push_str(&format!(
-        "compile time     : {:.3} ms (parse {:.3} / hlir {:.3} / suifvm {:.3} / datapath {:.3} / netlist {:.3} / vhdl {:.3})\n",
+        "compile time     : {:.3} ms (parse {:.3} / hlir {:.3} / suifvm {:.3} / datapath {:.3} / netlist {:.3} / prove {:.3} / vhdl {:.3})\n",
         t.total().as_secs_f64() * 1e3,
         t.parse.as_secs_f64() * 1e3,
         t.hlir.as_secs_f64() * 1e3,
         t.suifvm.as_secs_f64() * 1e3,
         t.datapath.as_secs_f64() * 1e3,
         t.netlist.as_secs_f64() * 1e3,
+        t.prove.as_secs_f64() * 1e3,
         t.vhdl.as_secs_f64() * 1e3,
     ));
     s

@@ -191,7 +191,7 @@ fn prove_policy(expect: Result<i64, Fault>, a: i64) -> i64 {
 }
 
 fn prove_eval(s: &TermStore, t: TermId, vars: &[i64]) -> i64 {
-    s.eval(t, vars, &[], &mut HashMap::new())
+    s.eval(t, vars, &[])
 }
 
 #[test]

@@ -16,10 +16,11 @@
 use roccc_suite::ipcores::benchmarks;
 use roccc_suite::netlist::cells::{CellKind, Netlist};
 use roccc_suite::prove::{
-    differential_replay, prove, verify_certificate_diags, Certificate, ObStatus, ProveOptions,
-    Verdict,
+    certificate_json, differential_replay, prove, verify_certificate_diags, Certificate, ObStatus,
+    ProveOptions, Verdict,
 };
-use roccc_suite::roccc::{check_certificate, compile, CompileOptions};
+use roccc_suite::roccc::hash::Fnv64;
+use roccc_suite::roccc::{check_certificate, compile, CompileOptions, VerifyLevel};
 use roccc_suite::suifvm::ir::Opcode;
 use roccc_suite::suifvm::FunctionIr;
 use roccc_suite::testrand::exprgen::gen_kernel_source;
@@ -98,6 +99,14 @@ enum Mutation {
 }
 
 impl Mutation {
+    fn index(&self) -> usize {
+        match self {
+            Mutation::SwapOperands => 0,
+            Mutation::OffByOneConst => 1,
+            Mutation::DropBalancingReg => 2,
+        }
+    }
+
     fn label(&self) -> &'static str {
         match self {
             Mutation::SwapOperands => "swap-operands",
@@ -215,16 +224,13 @@ fn assert_cex_replays(label: &str, cert: &Certificate, f: &FunctionIr, nl: &Netl
     );
 }
 
-/// Planted mutations on generated kernels: every observable mutant is
-/// refuted with a replaying counterexample; none certifies EQUAL.
-#[test]
-fn planted_mutations_are_refuted_with_replaying_counterexamples() {
-    let mutations = [
-        Mutation::SwapOperands,
-        Mutation::OffByOneConst,
-        Mutation::DropBalancingReg,
-    ];
-    let mut refuted_by_class = [0usize; 3];
+/// The planted-mutation sweep: for each generated kernel that compiles,
+/// every mutation class with a site, calls `visit(case, mutation, source,
+/// ir, mutant)` on the mutants the differential screen observes, and
+/// returns how many it screened out as unobservable.
+fn for_each_observable_mutant(
+    mut visit: impl FnMut(u64, &Mutation, &str, &FunctionIr, &Netlist),
+) -> usize {
     let mut screened = 0usize;
     for case in 0..24u64 {
         let mut rng = XorShift64::new(0x7000 + case);
@@ -237,7 +243,7 @@ fn planted_mutations_are_refuted_with_replaying_counterexamples() {
         let Ok(hw) = compile(&src, "k", &opts) else {
             continue;
         };
-        for (mi, m) in mutations.iter().enumerate() {
+        for m in &MUTATIONS {
             let Some(mutant) = mutate(&hw.netlist, m) else {
                 continue;
             };
@@ -245,39 +251,162 @@ fn planted_mutations_are_refuted_with_replaying_counterexamples() {
                 screened += 1;
                 continue;
             }
-            let cert = prove(&hw.ir, &mutant, "mutant", &ProveOptions::default());
-            assert_ne!(
-                cert.verdict,
-                Verdict::Equal,
-                "case {case} {}: observable mutant certified EQUAL (src {src})",
-                m.label()
-            );
-            if cert.verdict == Verdict::Refuted {
-                refuted_by_class[mi] += 1;
-                let label = format!("case {case} {}", m.label());
-                assert_cex_replays(&label, &cert, &hw.ir, &mutant);
-                // The E-family checker must class this as a refutation
-                // finding (E001/E002), not a malformed certificate.
-                let diags = verify_certificate_diags(&cert, &hw.ir, &mutant);
-                assert!(
-                    diags
-                        .iter()
-                        .any(|d| d.code.starts_with("E001") || d.code.starts_with("E002")),
-                    "{label}: no E001/E002 finding: {diags:?}"
-                );
-                assert!(
-                    !diags.iter().any(|d| d.code.starts_with("E004")),
-                    "{label}: refutation flagged malformed: {diags:?}"
-                );
-            }
+            visit(case, m, &src, &hw.ir, &mutant);
         }
     }
+    screened
+}
+
+/// Every mutation class, in sweep order.
+const MUTATIONS: [Mutation; 3] = [
+    Mutation::SwapOperands,
+    Mutation::OffByOneConst,
+    Mutation::DropBalancingReg,
+];
+
+/// Planted mutations on generated kernels: every observable mutant is
+/// refuted with a replaying counterexample; none certifies EQUAL.
+#[test]
+fn planted_mutations_are_refuted_with_replaying_counterexamples() {
+    let mut refuted_by_class = [0usize; 3];
+    let screened = for_each_observable_mutant(|case, m, src, ir, mutant| {
+        let cert = prove(ir, mutant, "mutant", &ProveOptions::default());
+        assert_ne!(
+            cert.verdict,
+            Verdict::Equal,
+            "case {case} {}: observable mutant certified EQUAL (src {src})",
+            m.label()
+        );
+        if cert.verdict == Verdict::Refuted {
+            refuted_by_class[m.index()] += 1;
+            let label = format!("case {case} {}", m.label());
+            assert_cex_replays(&label, &cert, ir, mutant);
+            // The E-family checker must class this as a refutation
+            // finding (E001/E002), not a malformed certificate.
+            let diags = verify_certificate_diags(&cert, ir, mutant);
+            assert!(
+                diags
+                    .iter()
+                    .any(|d| d.code.starts_with("E001") || d.code.starts_with("E002")),
+                "{label}: no E001/E002 finding: {diags:?}"
+            );
+            assert!(
+                !diags.iter().any(|d| d.code.starts_with("E004")),
+                "{label}: refutation flagged malformed: {diags:?}"
+            );
+        }
+    });
     // The sweep must exercise every class, not vacuously skip.
-    for (mi, m) in mutations.iter().enumerate() {
+    for m in &MUTATIONS {
         assert!(
-            refuted_by_class[mi] > 0,
+            refuted_by_class[m.index()] > 0,
             "no observable {} mutant was refuted (screened {screened})",
             m.label()
         );
     }
+}
+
+// ---------------------------------------------------------------------------
+// Certificate byte lock
+// ---------------------------------------------------------------------------
+
+/// SAT conflict budget for the generated-kernel cases of the byte lock.
+/// 105 of the 520 seeds reach the SAT tier and eleven of them hit a
+/// conflict: case 132 needs 35,686 to prove EQUAL and case 454
+/// exhausts the default 50,000-conflict budget. At this budget every
+/// other search runs to its verdict (case 273, the longest, takes 1,424
+/// conflicts), and those two are pinned through their first 2,000
+/// conflicts and their `Unknown` verdicts, which keeps the debug test fast.
+const BYTE_LOCK_SAT_BUDGET: u64 = 2_000;
+
+/// Generated expression kernels of `tests/range_narrow.rs`.
+const EXPRGEN_CASES: u64 = 520;
+
+/// FNV-1a 64 of a certificate's JSON rendering.
+fn certificate_hash(cert: &Certificate) -> String {
+    let mut h = Fnv64::new();
+    h.write(certificate_json(cert).as_bytes());
+    format!("{:016x}", h.finish())
+}
+
+/// Locks every certificate byte — term count, rewrite steps, each
+/// obligation's status, SAT effort and detail, counterexample windows —
+/// to `tests/fixtures/prove_certificates.txt` over:
+///
+/// * the Table 1 kernels under their paper options and under the
+///   certifying option set (range narrowing, auto modulo schedule,
+///   verifier at `Warn`);
+/// * every observable planted mutant of the mutation sweep above;
+/// * the 520 generated expression kernels of `tests/range_narrow.rs`
+///   (seeds `0xA11CE + case`) at default options, with the SAT tier
+///   capped at [`BYTE_LOCK_SAT_BUDGET`] conflicts.
+///
+/// A change that only makes the prover faster leaves every line alone;
+/// one that changes a certificate on purpose updates the lines the
+/// failure prints.
+#[test]
+fn certificates_unchanged() {
+    let mut actual = Vec::new();
+    for b in &benchmarks() {
+        let paper = CompileOptions {
+            prove: true,
+            ..b.opts.clone()
+        };
+        let certifying = CompileOptions {
+            range_narrow: true,
+            pipeline_ii: Some(0),
+            verify: VerifyLevel::Warn,
+            ..paper.clone()
+        };
+        for (tag, opts) in [("paper", paper), ("certifying", certifying)] {
+            let hw = compile(&b.source, b.func, &opts)
+                .unwrap_or_else(|e| panic!("{} {tag}: compile failed: {e}", b.name));
+            let cert = hw.certificate.as_ref().expect("prove yields a certificate");
+            actual.push(format!(
+                "table1 {tag} {} {}",
+                b.name,
+                certificate_hash(cert)
+            ));
+        }
+    }
+    for_each_observable_mutant(|case, m, _, ir, mutant| {
+        let cert = prove(ir, mutant, "mutant", &ProveOptions::default());
+        actual.push(format!(
+            "mutant {case} {} {}",
+            m.label(),
+            certificate_hash(&cert)
+        ));
+    });
+    let budgeted = ProveOptions {
+        sat_conflict_budget: BYTE_LOCK_SAT_BUDGET,
+        ..ProveOptions::default()
+    };
+    for case in 0..EXPRGEN_CASES {
+        let mut rng = XorShift64::new(0xA11CE + case);
+        let src = gen_kernel_source(&mut rng, 3);
+        let hw = compile(&src, "k", &CompileOptions::default())
+            .unwrap_or_else(|e| panic!("exprgen {case}: compile failed: {e}"));
+        let cert = prove(&hw.ir, &hw.netlist, "k", &budgeted);
+        actual.push(format!("exprgen {case} {}", certificate_hash(&cert)));
+    }
+
+    let fixture = include_str!("fixtures/prove_certificates.txt");
+    let expected: Vec<&str> = fixture.lines().collect();
+    let diff: Vec<String> = (0..expected.len().max(actual.len()))
+        .filter(|&i| expected.get(i).copied() != actual.get(i).map(String::as_str))
+        .map(|i| {
+            format!(
+                "- {}\n+ {}",
+                expected.get(i).copied().unwrap_or("<none>"),
+                actual.get(i).map(String::as_str).unwrap_or("<none>")
+            )
+        })
+        .collect();
+    assert!(
+        diff.is_empty(),
+        "{} of {} certificate hashes differ:\n{}",
+        diff.len(),
+        actual.len(),
+        diff.join("\n")
+    );
 }
