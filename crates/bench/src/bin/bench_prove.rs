@@ -2,12 +2,12 @@
 //! every Table 1 kernel.
 //!
 //! ```text
-//! cargo run --release -p roccc-bench --bin bench_prove -- [--runs N] [--out PATH]
+//! cargo run --release -p roccc-bench --bin bench_prove -- [--out PATH]
 //! ```
 //!
 //! Each kernel is compiled once (without proving) and the prover is then
 //! timed on the resulting IR/netlist pair: wall time (the median of
-//! `--runs` proofs, default 15), how each obligation
+//! [`RUNS`] proofs), how each obligation
 //! was discharged (normalizing rewriter vs. range facts vs. the SAT
 //! fallback), total rewrite steps, the symbolic footprint in hash-consed
 //! terms, and the rendered certificate size. The table is written to
@@ -20,30 +20,23 @@ use roccc_ipcores::benchmarks;
 use roccc_prove::{certificate_json, prove, ProveOptions, Verdict};
 use std::fmt::Write as _;
 
-/// `(runs, output path)` from the command line.
-fn parse_args() -> (usize, String) {
-    let mut runs = 15;
+/// Proofs timed per kernel; the reported wall time is their median.
+const RUNS: usize = 15;
+
+fn parse_out() -> String {
     let mut out = "BENCH_prove.json".to_string();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--runs" => {
-                runs = args
-                    .next()
-                    .expect("--runs needs a count")
-                    .parse()
-                    .expect("--runs: integer");
-                assert!(runs > 0, "--runs must be at least 1");
-            }
             "--out" => out = args.next().expect("--out needs a path"),
             "--help" | "-h" => {
-                eprintln!("usage: bench_prove [--runs N] [--out PATH]");
+                eprintln!("usage: bench_prove [--out PATH]");
                 std::process::exit(0);
             }
             other => panic!("unknown argument {other}"),
         }
     }
-    (runs, out)
+    out
 }
 
 struct Row {
@@ -62,7 +55,7 @@ struct Row {
 }
 
 fn main() {
-    let (runs, out) = parse_args();
+    let out = parse_out();
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let mut rows = Vec::new();
@@ -70,7 +63,7 @@ fn main() {
         let c = compile(&b.source, b.func, &b.opts).expect("benchmark compiles");
         let opts = ProveOptions::default();
         let cert = prove(&c.ir, &c.netlist, b.name, &opts);
-        let wall_ms = time_median(runs, || {
+        let wall_ms = time_median(RUNS, || {
             prove(&c.ir, &c.netlist, b.name, &opts).terms as u64
         }) * 1e3;
         let (rw, rg, sat, refuted, unknown) = cert.status_counts();
@@ -112,7 +105,7 @@ fn main() {
     let mut s = String::new();
     let _ = write!(
         s,
-        "{{\n  \"benchmark\": \"prove\",\n  \"unit\": \"ms\",\n  \"runs\": {runs},\n  \
+        "{{\n  \"benchmark\": \"prove\",\n  \"unit\": \"ms\",\n  \"runs\": {RUNS},\n  \
          \"host_cpus\": {host_cpus},\n  \"results\": [\n"
     );
     for (i, r) in rows.iter().enumerate() {

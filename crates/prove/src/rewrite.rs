@@ -63,30 +63,17 @@ pub fn normalize(store: &mut TermStore, t: TermId, care: u8, cache: &mut NormCac
             }
         }
         Term::Op { op, args } => {
-            // Operands are re-read by index: normalizing one may grow the
-            // store, which the borrowed `args` would not survive.
-            let n = args.len();
-            // Normalizes every operand, operand `k` under `care_of(k)`.
-            let all =
-                |store: &mut TermStore, cache: &mut NormCache, care_of: &dyn Fn(usize) -> u8| {
-                    (0..n)
-                        .map(|k| {
-                            let a = store.arg(t, k);
-                            normalize(store, a, care_of(k), cache)
-                        })
-                        .collect::<Vec<TermId>>()
-                };
-            let one = |store: &mut TermStore, cache: &mut NormCache, k: usize, c: u8| {
-                let a = store.arg(t, k);
-                normalize(store, a, c, cache)
-            };
+            // Owned operands: normalizing one may grow the store, which the
+            // borrowed `args` would not survive.
+            let args = args.to_vec();
+            let n = |s: &mut TermStore, c: &mut NormCache, a: TermId, k: u8| normalize(s, a, k, c);
             match op {
                 TOp::Add => {
-                    let na = all(store, cache, &|_| care);
+                    let na: Vec<TermId> = args.iter().map(|&a| n(store, cache, a, care)).collect();
                     store.add(na)
                 }
                 TOp::Mul => {
-                    let na = all(store, cache, &|_| care);
+                    let na: Vec<TermId> = args.iter().map(|&a| n(store, cache, a, care)).collect();
                     store.mul(na)
                 }
                 TOp::And => {
@@ -95,10 +82,6 @@ pub fn normalize(store: &mut TermStore, t: TermId, care: u8, cache: &mut NormCac
                     // bits. The mask itself must stay exact — its zeros are
                     // load-bearing.
                     let window = if care < 64 { (1u64 << care) - 1 } else { !0 };
-                    let is_const: Vec<bool> = args
-                        .iter()
-                        .map(|&a| matches!(store.term(a), Term::Const(_)))
-                        .collect();
                     let mask = args
                         .iter()
                         .filter_map(|&a| match store.term(a) {
@@ -108,63 +91,73 @@ pub fn normalize(store: &mut TermStore, t: TermId, care: u8, cache: &mut NormCac
                         .fold(!0u64, |m, v| m & v);
                     let need = (64 - (mask & window).leading_zeros()) as u8;
                     let care_x = care.min(need.max(1));
-                    let na = all(store, cache, &|k| if is_const[k] { care } else { care_x });
+                    let na: Vec<TermId> = args
+                        .iter()
+                        .map(|&a| {
+                            let k = if matches!(store.term(a), Term::Const(_)) {
+                                care
+                            } else {
+                                care_x
+                            };
+                            n(store, cache, a, k)
+                        })
+                        .collect();
                     store.bitwise(op, na)
                 }
                 TOp::Or | TOp::Xor => {
-                    let na = all(store, cache, &|_| care);
+                    let na: Vec<TermId> = args.iter().map(|&a| n(store, cache, a, care)).collect();
                     store.bitwise(op, na)
                 }
                 TOp::Neg => {
-                    let a = one(store, cache, 0, care);
+                    let a = n(store, cache, args[0], care);
                     store.neg(a)
                 }
                 TOp::Not => {
-                    let a = one(store, cache, 0, care);
+                    let a = n(store, cache, args[0], care);
                     store.not(a)
                 }
                 TOp::Bool => {
-                    let a = one(store, cache, 0, 64);
+                    let a = n(store, cache, args[0], 64);
                     store.boolify(a)
                 }
                 TOp::ShAmt => {
-                    let a = one(store, cache, 0, 64);
+                    let a = n(store, cache, args[0], 64);
                     store.sh_amt(a)
                 }
                 TOp::Shl => {
                     // Low `care` bits of `x << amt` depend only on the low
                     // `care` bits of `x` (left shifts move bits upward).
-                    let x = one(store, cache, 0, care);
-                    let a = one(store, cache, 1, 64);
+                    let x = n(store, cache, args[0], care);
+                    let a = n(store, cache, args[1], 64);
                     store.shl(x, a)
                 }
                 TOp::Shr => {
                     // Low `care` bits of `x >> k` are bits k..k+care of
                     // `x`, so a constant amount narrows the operand's
                     // context to `care + k`; dynamic amounts stay exact.
-                    let a = one(store, cache, 1, 64);
+                    let a = n(store, cache, args[1], 64);
                     let care_x = match store.term(a) {
                         Term::Const(k) if (0..=MAX_SHIFT).contains(&k) => {
                             care.saturating_add(k as u8).min(64)
                         }
                         _ => 64,
                     };
-                    let x = one(store, cache, 0, care_x);
+                    let x = n(store, cache, args[0], care_x);
                     store.shr(x, a)
                 }
                 TOp::Div | TOp::Rem | TOp::Slt | TOp::Sle | TOp::Seq | TOp::Sne => {
-                    let a = one(store, cache, 0, 64);
-                    let b = one(store, cache, 1, 64);
+                    let a = n(store, cache, args[0], 64);
+                    let b = n(store, cache, args[1], 64);
                     store.op2(op, a, b)
                 }
                 TOp::Mux => {
-                    let c = one(store, cache, 0, 64);
-                    let x = one(store, cache, 1, care);
-                    let y = one(store, cache, 2, care);
+                    let c = n(store, cache, args[0], 64);
+                    let x = n(store, cache, args[1], care);
+                    let y = n(store, cache, args[2], care);
                     store.mux(c, x, y)
                 }
                 TOp::Lut(tb) => {
-                    let i = one(store, cache, 0, 64);
+                    let i = n(store, cache, args[0], 64);
                     store.lut(tb, i)
                 }
             }

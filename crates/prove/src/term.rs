@@ -1427,7 +1427,7 @@ mod tests {
     }
 
     #[test]
-    fn cone_eval_matches_per_root_eval() {
+    fn cone_eval_reads_literal_values() {
         let mut s = store();
         let a = s.var(0, 0);
         let b = s.var(1, 0);
@@ -1436,11 +1436,27 @@ mod tests {
         let k = s.cst(3);
         let sh = s.shr(m, k);
         let d = s.op2(TOp::Div, sh, b);
-        let mut e = ConeEval::new(&s, &[d, m]);
-        for vars in [[7, -3], [300, 0], [-1, 5]] {
+        let q = s.op2(TOp::Div, w, b);
+        // Per window: [a, b] and the expected values of w = (u8) a,
+        // m = w * b, sh = m >> 3 (arithmetic), d = sh / b and q = w / b,
+        // where a zero divisor reads 0.
+        let cases: [([i64; 2], [i64; 5]); 4] = [
+            ([7, -3], [7, -21, -3, 1, -2]),
+            ([300, 0], [44, 0, 0, 0, 0]),
+            ([-1, 5], [255, 1275, 159, 31, 51]),
+            (
+                [511, i64::MAX],
+                [255, i64::MAX - 254, (i64::MAX - 254) >> 3, 0, 0],
+            ),
+        ];
+        let roots = [w, m, sh, d, q];
+        let mut e = ConeEval::new(&s, &[d, q]);
+        for (vars, want) in cases {
             e.run(&s, &vars, &[]);
-            assert_eq!(e.value(d), s.eval(d, &vars, &[]));
-            assert_eq!(e.value(m), s.eval(m, &vars, &[]));
+            for (&t, &v) in roots.iter().zip(&want) {
+                assert_eq!(e.value(t), v, "term {t} at {vars:?}");
+                assert_eq!(s.eval(t, &vars, &[]), v, "term {t} at {vars:?}");
+            }
         }
     }
 }
