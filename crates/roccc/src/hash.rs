@@ -67,6 +67,7 @@ pub fn cache_key(source: &str, function: &str, opts: &CompileOptions) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::options::OPTIONS;
     use crate::{CompileOptions, UnrollStrategy, VerifyLevel};
 
     #[test]
@@ -117,62 +118,28 @@ mod tests {
         // The canonical pair: unroll factor 1 (Keep) vs 4.
         assert_ne!(cache_key(src, "f", &base), cache_key(src, "f", &unrolled));
 
-        // Every other option axis must also separate keys.
-        for variant in [
-            CompileOptions {
-                target_period_ns: 9.5,
-                ..base.clone()
-            },
-            CompileOptions {
-                unroll: UnrollStrategy::Full,
-                ..base.clone()
-            },
-            CompileOptions {
-                stripmine: Some(4),
-                ..base.clone()
-            },
-            CompileOptions {
-                optimize: false,
-                ..base.clone()
-            },
-            CompileOptions {
-                narrow: false,
-                ..base.clone()
-            },
-            CompileOptions {
-                fuse: true,
-                ..base.clone()
-            },
-            CompileOptions {
-                range_narrow: true,
-                ..base.clone()
-            },
-            CompileOptions {
-                verify: VerifyLevel::Deny,
-                ..base.clone()
-            },
-            CompileOptions {
-                pipeline_ii: Some(0),
-                ..base.clone()
-            },
-            CompileOptions {
-                pipeline_ii: Some(2),
-                ..base.clone()
-            },
-            CompileOptions {
-                prove: true,
-                ..base.clone()
-            },
-            CompileOptions {
-                verify_families: Some("S,D,E".into()),
-                ..base.clone()
-            },
-        ] {
-            assert_ne!(
-                cache_key(src, "f", &base),
-                cache_key(src, "f", &variant),
-                "{variant:?}"
-            );
+        // Every option axis must also separate keys: each row takes every
+        // sample value it accepts (a switch takes its non-default side), and
+        // every pair of distinct option sets must key apart.
+        let mut variants = vec![base.clone()];
+        for row in OPTIONS {
+            let before = variants.len();
+            for sample in ["9.5", "full", "4", "2", "auto", "deny", "S,D,E"] {
+                let mut o = base.clone();
+                if row.apply(&mut o, sample).is_ok() && !variants.contains(&o) {
+                    variants.push(o);
+                }
+            }
+            assert!(variants.len() > before, "no sample sets `{}`", row.key);
+        }
+        for (i, a) in variants.iter().enumerate() {
+            for b in &variants[i + 1..] {
+                assert_ne!(
+                    cache_key(src, "f", a),
+                    cache_key(src, "f", b),
+                    "{a:?} vs {b:?}"
+                );
+            }
         }
     }
 

@@ -30,7 +30,8 @@
 //! bounded queue is full and the request was never enqueued — clients
 //! should back off and retry.
 
-use crate::{CompileOptions, UnrollStrategy, VerifyLevel};
+use crate::options::{self, OPTIONS};
+use crate::CompileOptions;
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -285,101 +286,20 @@ fn parse_csv(value: &str) -> Result<Vec<u64>, ProtoError> {
         .collect()
 }
 
-/// Writes the option lines shared by `compile` and `explore`.
-fn write_opts<W: Write>(w: &mut W, opts: &CompileOptions) -> io::Result<()> {
-    writeln!(w, "period {}", opts.target_period_ns)?;
-    match opts.unroll {
-        UnrollStrategy::Keep => {}
-        UnrollStrategy::Full => writeln!(w, "unroll full")?,
-        UnrollStrategy::Partial(k) => writeln!(w, "unroll {k}")?,
-    }
-    if let Some(width) = opts.stripmine {
-        writeln!(w, "stripmine {width}")?;
-    }
-    if !opts.optimize {
-        writeln!(w, "no-opt")?;
-    }
-    if !opts.narrow {
-        writeln!(w, "no-narrow")?;
-    }
-    if opts.fuse {
-        writeln!(w, "fuse")?;
-    }
-    if opts.range_narrow {
-        writeln!(w, "range-narrow")?;
-    }
-    if let Some(target) = opts.pipeline_ii {
-        if target == 0 {
-            writeln!(w, "pipeline-ii auto")?;
-        } else {
-            writeln!(w, "pipeline-ii {target}")?;
-        }
-    }
-    // Only written when explicit, so a request serialized by a
-    // debug client parses back identically in a release server
-    // (the default level is profile-dependent).
-    if opts.verify != VerifyLevel::default() {
-        writeln!(w, "verify {}", opts.verify)?;
-    }
-    if opts.prove {
-        writeln!(w, "prove")?;
-    }
-    if let Some(fam) = &opts.verify_families {
-        writeln!(w, "verify-families {}", escape(fam))?;
-    }
-    Ok(())
+fn parse_num<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, ProtoError> {
+    value
+        .parse()
+        .map_err(|_| malformed(format!("bad {key} `{value}`")))
 }
 
-/// Applies one `key value` option line to `opts`; `Ok(false)` when the key
-/// is not an option field.
-fn apply_opt_field(opts: &mut CompileOptions, key: &str, value: &str) -> Result<bool, ProtoError> {
-    match key {
-        "period" => {
-            opts.target_period_ns = value
-                .parse()
-                .map_err(|_| malformed(format!("bad period `{value}`")))?;
+/// Writes one line per option that differs from the defaults.
+fn write_opts<W: Write>(w: &mut W, opts: &CompileOptions) -> io::Result<()> {
+    for row in OPTIONS {
+        if let Some(words) = row.spelled(opts) {
+            writeln!(w, "{}", escape(&words))?;
         }
-        "unroll" => {
-            opts.unroll = if value == "full" {
-                UnrollStrategy::Full
-            } else {
-                UnrollStrategy::Partial(
-                    value
-                        .parse()
-                        .map_err(|_| malformed(format!("bad unroll `{value}`")))?,
-                )
-            };
-        }
-        "stripmine" => {
-            opts.stripmine = Some(
-                value
-                    .parse()
-                    .map_err(|_| malformed(format!("bad stripmine `{value}`")))?,
-            );
-        }
-        "no-opt" => opts.optimize = false,
-        "no-narrow" => opts.narrow = false,
-        "fuse" => opts.fuse = true,
-        "range-narrow" => opts.range_narrow = true,
-        "pipeline-ii" => {
-            opts.pipeline_ii = Some(if value == "auto" {
-                0
-            } else {
-                value
-                    .parse()
-                    .map_err(|_| malformed(format!("bad pipeline-ii `{value}`")))?
-            });
-        }
-        "verify" => {
-            opts.verify = value
-                .parse()
-                .map_err(|_| malformed(format!("bad verify level `{value}`")))?;
-        }
-        "prove" => opts.prove = true,
-        "verify-families" => opts.verify_families = Some(unescape(value)?),
-        _ => return Ok(false),
     }
-    Ok(true)
+    Ok(())
 }
 
 fn read_line_capped<R: BufRead>(r: &mut R) -> Result<String, ProtoError> {
@@ -396,6 +316,30 @@ fn read_line_capped<R: BufRead>(r: &mut R) -> Result<String, ProtoError> {
         line.pop();
     }
     Ok(line)
+}
+
+/// Reads a request body: `key value` lines (a bare `key` has an empty
+/// value) up to `end`. Option lines go through their [`OPTIONS`] row;
+/// every other line goes to `field`, which answers `Ok(false)` for a key
+/// its command does not know.
+fn read_body<R: BufRead>(
+    r: &mut R,
+    mut field: impl FnMut(&str, &str) -> Result<bool, ProtoError>,
+) -> Result<CompileOptions, ProtoError> {
+    let mut opts = CompileOptions::default();
+    loop {
+        let line = read_line_capped(r)?;
+        if line == "end" {
+            return Ok(opts);
+        }
+        let (key, value) = line.split_once(' ').unwrap_or((&line, ""));
+        if let Some(row) = options::find(key) {
+            row.apply(&mut opts, &unescape(value)?)
+                .map_err(|e| malformed(format!("{key} {e}")))?;
+        } else if !field(key, value)? {
+            return Err(malformed(format!("unknown field `{key}`")));
+        }
+    }
 }
 
 /// Reads one request from `r`.
@@ -418,30 +362,16 @@ pub fn read_request<R: BufRead>(r: &mut R) -> Result<Request, ProtoError> {
             })
         }
         "compile" => {
-            let mut source = None;
-            let mut function = None;
-            let mut emit = "stats".to_string();
-            let mut opts = CompileOptions::default();
-            loop {
-                let line = read_line_capped(r)?;
-                if line == "end" {
-                    break;
-                }
-                let (key, value) = match line.split_once(' ') {
-                    Some((k, v)) => (k, v),
-                    None => (line.as_str(), ""),
-                };
+            let (mut source, mut function, mut emit) = (None, None, "stats".to_string());
+            let opts = read_body(r, |key, value| {
                 match key {
                     "function" => function = Some(unescape(value)?),
                     "emit" => emit = unescape(value)?,
                     "source" => source = Some(unescape(value)?),
-                    other => {
-                        if !apply_opt_field(&mut opts, other, value)? {
-                            return Err(malformed(format!("unknown field `{other}`")));
-                        }
-                    }
+                    _ => return Ok(false),
                 }
-            }
+                Ok(true)
+            })?;
             Ok(Request::Compile {
                 source: source.ok_or_else(|| malformed("compile without source"))?,
                 function: function.ok_or_else(|| malformed("compile without function"))?,
@@ -450,30 +380,16 @@ pub fn read_request<R: BufRead>(r: &mut R) -> Result<Request, ProtoError> {
             })
         }
         "pipeline" => {
-            let mut source = None;
-            let mut pipeline = None;
-            let mut emit = "stats".to_string();
-            let mut opts = CompileOptions::default();
-            loop {
-                let line = read_line_capped(r)?;
-                if line == "end" {
-                    break;
-                }
-                let (key, value) = match line.split_once(' ') {
-                    Some((k, v)) => (k, v),
-                    None => (line.as_str(), ""),
-                };
+            let (mut source, mut pipeline, mut emit) = (None, None, "stats".to_string());
+            let opts = read_body(r, |key, value| {
                 match key {
                     "emit" => emit = unescape(value)?,
                     "spec" => pipeline = Some(unescape(value)?),
                     "source" => source = Some(unescape(value)?),
-                    other => {
-                        if !apply_opt_field(&mut opts, other, value)? {
-                            return Err(malformed(format!("unknown field `{other}`")));
-                        }
-                    }
+                    _ => return Ok(false),
                 }
-            }
+                Ok(true)
+            })?;
             Ok(Request::Pipeline {
                 source: source.ok_or_else(|| malformed("pipeline without source"))?,
                 pipeline: pipeline.ok_or_else(|| malformed("pipeline without spec"))?,
@@ -482,24 +398,13 @@ pub fn read_request<R: BufRead>(r: &mut R) -> Result<Request, ProtoError> {
             })
         }
         "explore" => {
-            let mut source = None;
-            let mut function = None;
-            let mut emit = "json".to_string();
-            let mut opts = CompileOptions::default();
+            let (mut source, mut function, mut emit) = (None, None, "json".to_string());
             let mut unroll_factors = vec![1];
             let mut strip_widths = vec![0];
             let mut scalar_opt_both = false;
             let mut budget_slices = None;
             let mut beam = None;
-            loop {
-                let line = read_line_capped(r)?;
-                if line == "end" {
-                    break;
-                }
-                let (key, value) = match line.split_once(' ') {
-                    Some((k, v)) => (k, v),
-                    None => (line.as_str(), ""),
-                };
+            let opts = read_body(r, |key, value| {
                 match key {
                     "function" => function = Some(unescape(value)?),
                     "emit" => emit = unescape(value)?,
@@ -507,27 +412,12 @@ pub fn read_request<R: BufRead>(r: &mut R) -> Result<Request, ProtoError> {
                     "factors" => unroll_factors = parse_csv(value)?,
                     "strips" => strip_widths = parse_csv(value)?,
                     "scalar-both" => scalar_opt_both = true,
-                    "budget" => {
-                        budget_slices = Some(
-                            value
-                                .parse()
-                                .map_err(|_| malformed(format!("bad budget `{value}`")))?,
-                        );
-                    }
-                    "beam" => {
-                        beam = Some(
-                            value
-                                .parse()
-                                .map_err(|_| malformed(format!("bad beam `{value}`")))?,
-                        );
-                    }
-                    other => {
-                        if !apply_opt_field(&mut opts, other, value)? {
-                            return Err(malformed(format!("unknown field `{other}`")));
-                        }
-                    }
+                    "budget" => budget_slices = Some(parse_num(key, value)?),
+                    "beam" => beam = Some(parse_num(key, value)?),
+                    _ => return Ok(false),
                 }
-            }
+                Ok(true)
+            })?;
             Ok(Request::Explore {
                 source: source.ok_or_else(|| malformed("explore without source"))?,
                 function: function.ok_or_else(|| malformed("explore without function"))?,
@@ -647,6 +537,7 @@ pub fn roundtrip(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{UnrollStrategy, VerifyLevel};
     use std::io::Cursor;
 
     #[test]
@@ -811,6 +702,34 @@ mod tests {
             assert!(read_request(&mut Cursor::new(bad.as_bytes().to_vec())).is_err());
         }
         assert!(read_response(&mut Cursor::new(b"ok notanumber\n".to_vec())).is_err());
+    }
+
+    #[test]
+    fn invalid_option_values_are_malformed() {
+        // Every body shape goes through the same option rows.
+        for head in [
+            "compile\nfunction f",
+            "pipeline\nspec pipeline f",
+            "explore\nfunction f",
+        ] {
+            for bad in [
+                "period nan",
+                "period inf",
+                "period 0",
+                "period -1",
+                "verify-families Q",
+                "verify-families S,,E",
+                "verify loud",
+            ] {
+                let text = format!("{head}\n{bad}\nsource void f() {{}}\nend\n");
+                match read_request(&mut Cursor::new(text.into_bytes())) {
+                    Err(ProtoError::Malformed(m)) => {
+                        assert!(m.starts_with(bad.split(' ').next().unwrap()), "{m}")
+                    }
+                    other => panic!("`{bad}` was not refused: {other:?}"),
+                }
+            }
+        }
         assert!(read_response(&mut Cursor::new(b"wat\n".to_vec())).is_err());
     }
 }

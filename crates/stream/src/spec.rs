@@ -16,8 +16,8 @@
 //! * `pipeline` (required, once) — `|`-separated stage list, one stage
 //!   per C function, producers left of consumers;
 //! * `stage <name> k=v ...` — per-stage [`CompileOptions`] overrides on
-//!   top of the base options (`period`, `unroll`, `stripmine`,
-//!   `optimize`, `narrow`, `range-narrow`, `fuse`, `verify`);
+//!   top of the base options, one per row of [`roccc::options::OPTIONS`]
+//!   (a switch by its positive name: `optimize=off`, `fuse=on`);
 //! * `bind a.X -> b.Y` — stream stage `a`'s output array `X` into stage
 //!   `b`'s input window `Y`. When a consumer has no explicit bind and
 //!   both sides of a consecutive stage pair have exactly one port, the
@@ -30,7 +30,7 @@
 //! * `#` starts a comment.
 
 use crate::StreamError;
-use roccc::{CompileOptions, UnrollStrategy, VerifyLevel};
+use roccc::CompileOptions;
 
 /// Per-stage entry of a parsed pipeline description.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,63 +51,14 @@ impl StageSpec {
     pub fn apply(&self, base: &CompileOptions) -> Result<CompileOptions, StreamError> {
         let mut o = base.clone();
         for (k, v) in &self.overrides {
-            match k.as_str() {
-                "period" => {
-                    o.target_period_ns = v
-                        .parse()
-                        .map_err(|_| spec_err(&self.name, k, v, "a number of ns"))?;
-                }
-                "unroll" => {
-                    o.unroll = match v.as_str() {
-                        "keep" => UnrollStrategy::Keep,
-                        "full" => UnrollStrategy::Full,
-                        n => UnrollStrategy::Partial(
-                            n.parse()
-                                .map_err(|_| spec_err(&self.name, k, v, "keep|full|<factor>"))?,
-                        ),
-                    };
-                }
-                "stripmine" => {
-                    o.stripmine = match v.as_str() {
-                        "off" => None,
-                        n => Some(
-                            n.parse()
-                                .map_err(|_| spec_err(&self.name, k, v, "off|<width>"))?,
-                        ),
-                    };
-                }
-                "optimize" => o.optimize = parse_bool(&self.name, k, v)?,
-                "narrow" => o.narrow = parse_bool(&self.name, k, v)?,
-                "range-narrow" => o.range_narrow = parse_bool(&self.name, k, v)?,
-                "fuse" => o.fuse = parse_bool(&self.name, k, v)?,
-                "verify" => {
-                    o.verify = v
-                        .parse::<VerifyLevel>()
-                        .map_err(|e| StreamError::Spec(format!("stage `{}`: {e}", self.name)))?;
-                }
-                other => {
-                    return Err(StreamError::Spec(format!(
-                        "stage `{}`: unknown option `{other}`",
-                        self.name
-                    )));
-                }
-            }
+            let row = roccc::options::find_override(k).ok_or_else(|| {
+                StreamError::Spec(format!("stage `{}`: unknown option `{k}`", self.name))
+            })?;
+            (row.parse)(&mut o, v).map_err(|e| {
+                StreamError::Spec(format!("stage `{}`: option `{k}={v}` {e}", self.name))
+            })?;
         }
         Ok(o)
-    }
-}
-
-fn spec_err(stage: &str, key: &str, val: &str, want: &str) -> StreamError {
-    StreamError::Spec(format!(
-        "stage `{stage}`: option `{key}={val}` is not {want}"
-    ))
-}
-
-fn parse_bool(stage: &str, key: &str, val: &str) -> Result<bool, StreamError> {
-    match val {
-        "true" | "on" | "1" => Ok(true),
-        "false" | "off" | "0" => Ok(false),
-        _ => Err(spec_err(stage, key, val, "a boolean (on|off)")),
     }
 }
 
@@ -234,7 +185,10 @@ pub fn parse_spec(text: &str) -> Result<PipelineSpec, StreamError> {
                 // instead of later inside `compile_pipeline`.
                 stage
                     .apply(&CompileOptions::default())
-                    .map_err(|e| StreamError::Spec(format!("line {line_no}: {e}")))?;
+                    .map_err(|e| match e {
+                        StreamError::Spec(m) => StreamError::Spec(format!("line {line_no}: {m}")),
+                        other => other,
+                    })?;
             }
             "bind" => {
                 let (lhs, rhs) = rest.split_once("->").ok_or_else(|| {
@@ -306,6 +260,7 @@ pub fn parse_spec(text: &str) -> Result<PipelineSpec, StreamError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use roccc::{UnrollStrategy, VerifyLevel};
 
     #[test]
     fn parses_full_description() {
@@ -370,5 +325,26 @@ mod tests {
         };
         let err = stage.apply(&CompileOptions::default()).unwrap_err();
         assert!(err.to_string().contains("unknown option"), "{err}");
+    }
+
+    #[test]
+    fn stage_overrides_validate_like_every_surface() {
+        for bad in [
+            "period=nan",
+            "period=inf",
+            "period=0",
+            "period=-1",
+            "verify-families=Q",
+        ] {
+            let err = parse_spec(&format!("pipeline a\nstage a {bad}")).unwrap_err();
+            assert!(err.to_string().contains(bad), "{err}");
+        }
+        // The keys the base options take are overridable per stage too.
+        let spec = parse_spec("pipeline a\nstage a pipeline-ii=auto prove=on verify-families=S,E")
+            .unwrap();
+        let opts = spec.stages[0].apply(&CompileOptions::default()).unwrap();
+        assert_eq!(opts.pipeline_ii, Some(0));
+        assert!(opts.prove);
+        assert_eq!(opts.verify_families.as_deref(), Some("S,E"));
     }
 }

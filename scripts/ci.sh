@@ -50,6 +50,12 @@ if ./target/release/roccc "${verify_src}" --function acc --no-such-flag \
   echo "verify smoke: unknown flag was not rejected" >&2
   exit 1
 fi
+# ... and so must a period that is not a positive, finite number of ns.
+if ./target/release/roccc "${verify_src}" --function acc --period nan \
+    >/dev/null 2>&1; then
+  echo "verify smoke: --period nan was not rejected" >&2
+  exit 1
+fi
 rm -f "${verify_src}"
 
 echo "==> bench smoke (${BENCH_CYCLES} cycles, 3 runs)"
@@ -81,6 +87,19 @@ copies="$(grep -rnE 'wrapping_div|wrapping_rem|clamp\(0, 63\)' crates/*/src \
   | grep -v '^crates/cparse/src/ops.rs:' || true)"
 if [ -n "${copies}" ]; then
   echo "one definition: operator arithmetic outside crates/cparse/src/ops.rs:" >&2
+  printf '%s\n' "${copies}" >&2
+  exit 1
+fi
+
+echo "==> compile options: one declaration (crates/roccc/src/options.rs)"
+# Every compile option is one row of `roccc::options::OPTIONS`; the command
+# line, the wire protocol, stage overrides and the cache key all read the
+# rows. A quoted option key anywhere else is a second declaration that can
+# drift from the first.
+copies="$(grep -rnE '"(no-opt|no-narrow|range-narrow|pipeline-ii|verify-families|stripmine)"' \
+  crates/*/src src | grep -v '^crates/roccc/src/options.rs:' || true)"
+if [ -n "${copies}" ]; then
+  echo "one declaration: option key outside crates/roccc/src/options.rs:" >&2
   printf '%s\n' "${copies}" >&2
   exit 1
 fi

@@ -1,104 +1,38 @@
-//! Command-line driver for the ROCCC reproduction.
-//!
-//! ```text
-//! roccc <input.c> --function <name> [options]
-//!
-//! Options:
-//!   --function <name>    kernel function to compile (required)
-//!   --period <ns>        target clock period (default 7.0)
-//!   --unroll <n|full>    unroll factor or full unrolling
-//!   --stripmine <w>      strip-mine width (strip fully unrolled)
-//!   --fuse               run loop fusion first
-//!   --no-opt             skip SSA-level scalar optimizations
-//!   --no-narrow          skip bit-width narrowing
-//!   --range-narrow       value-range analysis drives extra narrowing
-//!   --pipeline-ii <auto|n>  modulo-schedule the loop body at initiation
-//!                        interval n (auto = the MinII lower bound)
-//!   --emit <what>        vhdl | dot | stats | ir | c | ranges | deps | deps-json |
-//!                        schedule | schedule-json | prove | prove-json | timings
-//!                        (default stats)
-//!   -o <file>            write output to a file instead of stdout
-//!   --verify             run the phase-indexed static verifier (warn)
-//!   --deny-warnings      verifier + lint findings of any severity fail
-//!   --prove              translation-validate the netlist against the IR
-//!                        (symbolic equivalence certificate; E-codes)
-//!   --verify-families <csv>  only report diagnostic families in the CSV
-//!                        list (letters from S,D,N,W,L,M,P,V,E)
-//!
-//! Design-space exploration (sweeps unroll × strip-mine × scalar-opt
-//! configurations and reports the Pareto frontier; `--emit` becomes
-//! `table` (default) or `json`):
-//!   --explore              run the DSE sweep instead of one compile
-//!   --unroll-factors <csv> unroll factors to sweep (default 1,2,4)
-//!   --strip-widths <csv>   strip-mine widths to sweep (default 0,2,4)
-//!   --scalar-both          sweep scalar optimization on AND off
-//!   --budget-slices <n>    prune candidates whose estimated area
-//!                          exceeds the budget (the paper's cut)
-//!   --beam <n>             fully score at most n candidates
-//!
-//! Streaming pipelines (compile several kernels from the same source
-//! into a process network; `--emit` becomes `stats` (default), `vhdl`,
-//! or `cosim`, which co-simulates the network on synthesized inputs and
-//! checks it bit-exact against chained single-kernel runs):
-//!   --pipeline <file>      pipeline description (stages, binds, fifos)
-//!
-//! Client mode (talk to a running `roccc-serve` daemon instead of
-//! compiling locally; `table-row` is additionally accepted for --emit):
-//!   --connect <host:port>  send the compile to the server
-//!   --metrics              (with --connect) print the server metrics
-//!   --shutdown             (with --connect) stop the server
-//! ```
+//! Command-line driver for the ROCCC reproduction: compiles one kernel,
+//! explores a design space, builds a streaming pipeline, or talks to a
+//! `roccc-serve` daemon. `roccc --help` lists every flag; the compile
+//! options among them come from `roccc::options::OPTIONS`.
 //!
 //! On `--emit vhdl`, structural lint findings from `roccc-vhdl` are
 //! reported as warnings on stderr; the exit code stays 0 unless
 //! `--deny-warnings` is in effect. Verifier findings print with source
 //! spans where available and make the exit code nonzero on error.
 
+use roccc::options::{self, OPTIONS};
 use roccc::proto::{self, Request, Response};
-use roccc::{compile, CompileOptions, Compiled, UnrollStrategy, VerifyLevel};
+use roccc::{compile, CompileOptions, Compiled, VerifyLevel};
 use roccc_synth::{fast_estimate, map_netlist, VirtexII};
 use std::process::ExitCode;
 use std::time::Duration;
 
-const USAGE: &str = "usage: roccc <input.c> --function <name> [options]
+const USAGE_HEAD: &str = "usage: roccc <input.c> --function <name> [options]
 
 options:
   --function, -f <name>  kernel function to compile (required)
-  --period <ns>          target clock period in ns (default 7.0)
-  --unroll <n|full>      unroll factor, or `full` for full unrolling
-  --stripmine <w>        strip-mine width w; the strip is fully
-                         unrolled and w drives the smart-buffer bus
-  --fuse                 run loop fusion before extraction
-  --no-opt               skip SSA-level scalar optimizations
-  --no-narrow            skip backward bit-width narrowing
-  --range-narrow         run the forward value-range analysis and let
-                         proven intervals narrow widths further
-  --pipeline-ii <auto|n> modulo-schedule the loop body under the modulo
-                         reservation table at initiation interval n;
-                         `auto` searches upward from the MinII lower
-                         bound (max of the recurrence and resource
-                         bounds). Implied by --emit schedule.
-  --emit <what>          vhdl | dot | stats | ir | c | ranges | deps | deps-json |
+";
+
+const USAGE_TAIL: &str =
+    "  --emit <what>          vhdl | dot | stats | ir | c | ranges | deps | deps-json |
                          schedule | schedule-json | prove | prove-json |
                          timings
                          (default stats; `timings` prints the per-phase
-                         compile wall-clock breakdown)
+                         compile wall-clock breakdown; `schedule*`
+                         implies --pipeline-ii auto, `prove*` --prove)
   -o <file>              write output to a file instead of stdout
   --verify               run the phase-indexed static verifier: errors
                          fail the compile, warnings print to stderr
   --deny-warnings        like --verify, but any finding (verifier or
                          VHDL lint) fails the compile
-  --prove                translation-validate the compiled netlist
-                         against the SSA IR: a symbolic evaluator walks
-                         one steady-state window of each and a rewriter
-                         (SAT fallback) discharges the equivalence
-                         obligations; refutations surface as E001/E002
-                         with a replayed counterexample, residual
-                         unknowns as E003 warnings. Implied by
-                         --emit prove / prove-json.
-  --verify-families <csv> only report diagnostic families in the CSV
-                         list (letters from S,D,N,W,L,M,P,V,E);
-                         findings from other families are dropped
   --help, -h             print this help
 
 design-space exploration (--emit becomes table (default) | json):
@@ -129,6 +63,19 @@ to the accepted --emit values; --explore and --pipeline work over
   --shutdown             (with --connect) stop the server
 ";
 
+/// The `--help` text: one entry per compile option row, between the
+/// hand-written flags. The `verify` row is left out because the command
+/// line spells it with the `--verify` and `--deny-warnings` switches.
+fn usage() -> String {
+    let mut s = USAGE_HEAD.to_string();
+    for row in OPTIONS.iter().filter(|r| r.key != "verify") {
+        let flag = format!("--{} {}", row.key, row.hint.unwrap_or(""));
+        let help = row.help.replace('\n', &format!("\n{:25}", ""));
+        s.push_str(&format!("  {:<22} {help}\n", flag.trim_end()));
+    }
+    s + USAGE_TAIL
+}
+
 struct Args {
     input: Option<String>,
     function: Option<String>,
@@ -148,9 +95,10 @@ struct Args {
     help: bool,
 }
 
-/// Parses a comma-separated list of unsigned integers.
-fn parse_csv_u64(flag: &str, v: &str) -> Result<Vec<u64>, String> {
-    v.split(',')
+/// Parses a flag's comma-separated list of unsigned integers.
+fn parse_csv_u64(flag: &str, v: Option<String>) -> Result<Vec<u64>, String> {
+    v.ok_or_else(|| format!("{flag} needs a CSV list"))?
+        .split(',')
         .map(|p| {
             p.trim()
                 .parse()
@@ -159,201 +107,110 @@ fn parse_csv_u64(flag: &str, v: &str) -> Result<Vec<u64>, String> {
         .collect()
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = std::env::args().skip(1);
-    let mut input = None;
-    let mut function = None;
-    let mut pipeline = None;
-    let mut opts = CompileOptions::default();
-    let mut emit = None;
-    let mut output = None;
-    let mut connect = None;
-    let mut metrics = false;
-    let mut shutdown = false;
-    let mut explore = false;
-    let mut unroll_factors = vec![1, 2, 4];
-    let mut strip_widths = vec![0, 2, 4];
-    let mut scalar_both = false;
-    let mut budget_slices = None;
-    let mut beam = None;
-    let mut help = false;
+/// Parses a flag's number.
+fn parse_number<T: std::str::FromStr>(flag: &str, v: Option<String>) -> Result<T, String> {
+    v.ok_or_else(|| format!("{flag} needs a number"))?
+        .parse()
+        .map_err(|_| format!("{flag} expects a number"))
+}
 
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--function" | "-f" => function = Some(args.next().ok_or("--function needs a name")?),
-            "--pipeline" => pipeline = Some(args.next().ok_or("--pipeline needs a file")?),
-            "--period" => {
-                opts.target_period_ns = args
-                    .next()
-                    .ok_or("--period needs a value")?
-                    .parse()
-                    .map_err(|_| "--period expects a number (ns)")?;
-            }
-            "--unroll" => {
-                let v = args.next().ok_or("--unroll needs a factor or `full`")?;
-                opts.unroll = if v == "full" {
-                    UnrollStrategy::Full
-                } else {
-                    UnrollStrategy::Partial(
-                        v.parse()
-                            .map_err(|_| "--unroll expects a number or `full`")?,
-                    )
-                };
-            }
-            "--fuse" => opts.fuse = true,
-            "--no-opt" => opts.optimize = false,
-            "--no-narrow" => opts.narrow = false,
-            "--range-narrow" => opts.range_narrow = true,
-            "--pipeline-ii" => {
-                let v = args
-                    .next()
-                    .ok_or("--pipeline-ii needs `auto` or a number")?;
-                opts.pipeline_ii = if v == "auto" {
-                    Some(0)
-                } else {
-                    Some(
-                        v.parse()
-                            .map_err(|_| "--pipeline-ii expects a number or `auto`")?,
-                    )
-                };
-            }
+fn parse_args() -> Result<Args, String> {
+    let mut argv = std::env::args().skip(1);
+    let mut a = Args {
+        input: None,
+        function: None,
+        pipeline: None,
+        opts: CompileOptions::default(),
+        emit: None,
+        output: None,
+        connect: None,
+        metrics: false,
+        shutdown: false,
+        explore: false,
+        unroll_factors: vec![1, 2, 4],
+        strip_widths: vec![0, 2, 4],
+        scalar_both: false,
+        budget_slices: None,
+        beam: None,
+        help: false,
+    };
+
+    while let Some(arg) = argv.next() {
+        match arg.as_str() {
+            "--function" | "-f" => a.function = Some(argv.next().ok_or("--function needs a name")?),
+            "--pipeline" => a.pipeline = Some(argv.next().ok_or("--pipeline needs a file")?),
             "--emit" => {
-                emit = Some(args.next().ok_or(
+                a.emit = Some(argv.next().ok_or(
                     "--emit needs vhdl|dot|stats|ir|c|ranges|deps|deps-json|\
                      schedule|schedule-json|prove|prove-json|timings",
                 )?)
             }
-            "-o" => output = Some(args.next().ok_or("-o needs a path")?),
-            "--stripmine" => {
-                opts.stripmine = Some(
-                    args.next()
-                        .ok_or("--stripmine needs a width")?
-                        .parse()
-                        .map_err(|_| "--stripmine expects a number")?,
-                )
-            }
-            "--explore" => explore = true,
-            "--unroll-factors" => {
-                let v = args.next().ok_or("--unroll-factors needs a CSV list")?;
-                unroll_factors = parse_csv_u64("--unroll-factors", &v)?;
-            }
-            "--strip-widths" => {
-                let v = args.next().ok_or("--strip-widths needs a CSV list")?;
-                strip_widths = parse_csv_u64("--strip-widths", &v)?;
-            }
-            "--scalar-both" => scalar_both = true,
-            "--budget-slices" => {
-                budget_slices = Some(
-                    args.next()
-                        .ok_or("--budget-slices needs a slice count")?
-                        .parse()
-                        .map_err(|_| "--budget-slices expects a number")?,
-                )
-            }
-            "--beam" => {
-                beam = Some(
-                    args.next()
-                        .ok_or("--beam needs a width")?
-                        .parse()
-                        .map_err(|_| "--beam expects a number")?,
-                )
-            }
-            "--connect" => connect = Some(args.next().ok_or("--connect needs host:port")?),
-            "--metrics" => metrics = true,
-            "--shutdown" => shutdown = true,
+            "-o" => a.output = Some(argv.next().ok_or("-o needs a path")?),
+            "--explore" => a.explore = true,
+            "--unroll-factors" => a.unroll_factors = parse_csv_u64(&arg, argv.next())?,
+            "--strip-widths" => a.strip_widths = parse_csv_u64(&arg, argv.next())?,
+            "--scalar-both" => a.scalar_both = true,
+            "--budget-slices" => a.budget_slices = Some(parse_number(&arg, argv.next())?),
+            "--beam" => a.beam = Some(parse_number(&arg, argv.next())?),
+            "--connect" => a.connect = Some(argv.next().ok_or("--connect needs host:port")?),
+            "--metrics" => a.metrics = true,
+            "--shutdown" => a.shutdown = true,
             "--verify" => {
                 // --deny-warnings is the stricter request; don't relax it.
-                if opts.verify != VerifyLevel::Deny {
-                    opts.verify = VerifyLevel::Warn;
+                if a.opts.verify != VerifyLevel::Deny {
+                    a.opts.verify = VerifyLevel::Warn;
                 }
             }
-            "--deny-warnings" => opts.verify = VerifyLevel::Deny,
-            "--prove" => opts.prove = true,
-            "--verify-families" => {
-                let v = args.next().ok_or("--verify-families needs a CSV list")?;
-                for fam in v.split(',') {
-                    let fam = fam.trim();
-                    let ok = fam.len() == 1
-                        && fam
-                            .chars()
+            "--deny-warnings" => a.opts.verify = VerifyLevel::Deny,
+            "--help" | "-h" => a.help = true,
+            other => match other.strip_prefix("--").and_then(options::find) {
+                Some(row) => {
+                    let value = match row.hint {
+                        Some(hint) => argv
                             .next()
-                            .is_some_and(|c| "SDNWLMPVE".contains(c.to_ascii_uppercase()));
-                    if !ok {
-                        return Err(format!(
-                            "--verify-families expects comma-separated family letters \
-                             from S,D,N,W,L,M,P,V,E, got `{fam}`"
-                        ));
-                    }
+                            .ok_or_else(|| format!("--{} needs {hint}", row.key))?,
+                        None => String::new(),
+                    };
+                    row.apply(&mut a.opts, &value)
+                        .map_err(|e| format!("--{} {e}", row.key))?;
                 }
-                opts.verify_families = Some(v);
-            }
-            "--help" | "-h" => help = true,
-            other if input.is_none() && !other.starts_with('-') => input = Some(other.to_string()),
-            other => return Err(format!("unknown argument `{other}` (try --help)")),
+                None if a.input.is_none() && !other.starts_with('-') => {
+                    a.input = Some(other.to_string())
+                }
+                None => return Err(format!("unknown argument `{other}` (try --help)")),
+            },
         }
     }
     // Asking for the schedule artifact without an explicit target means
     // "schedule at auto/MinII": the artifact only exists when a modulo
     // schedule was actually requested.
-    if matches!(emit.as_deref(), Some("schedule" | "schedule-json")) && opts.pipeline_ii.is_none() {
-        opts.pipeline_ii = Some(0);
+    if matches!(a.emit.as_deref(), Some("schedule" | "schedule-json"))
+        && a.opts.pipeline_ii.is_none()
+    {
+        a.opts.pipeline_ii = Some(0);
     }
     // Asking for the proof artifact means "run the prover".
-    if matches!(emit.as_deref(), Some("prove" | "prove-json")) {
-        opts.prove = true;
+    if matches!(a.emit.as_deref(), Some("prove" | "prove-json")) {
+        a.opts.prove = true;
     }
-    if help {
-        // Skip the required-argument checks: `roccc --help` alone is valid.
-        return Ok(Args {
-            input,
-            function,
-            pipeline,
-            opts,
-            emit,
-            output,
-            connect,
-            metrics,
-            shutdown,
-            explore,
-            unroll_factors,
-            strip_widths,
-            scalar_both,
-            budget_slices,
-            beam,
-            help,
-        });
+    // `roccc --help` alone is valid: skip the required-argument checks.
+    if a.help {
+        return Ok(a);
     }
-    if (metrics || shutdown) && connect.is_none() {
+    if (a.metrics || a.shutdown) && a.connect.is_none() {
         return Err("--metrics/--shutdown require --connect (try --help)".to_string());
     }
-    if pipeline.is_some() && explore {
+    if a.pipeline.is_some() && a.explore {
         return Err("--pipeline does not combine with --explore".to_string());
     }
-    let control = metrics || shutdown;
-    if !control && input.is_none() {
+    let control = a.metrics || a.shutdown;
+    if !control && a.input.is_none() {
         return Err("missing input file (try --help)".to_string());
     }
-    if !control && function.is_none() && pipeline.is_none() {
+    if !control && a.function.is_none() && a.pipeline.is_none() {
         return Err("missing --function (try --help)".to_string());
     }
-    Ok(Args {
-        input,
-        function,
-        pipeline,
-        opts,
-        emit,
-        output,
-        connect,
-        metrics,
-        shutdown,
-        explore,
-        unroll_factors,
-        strip_widths,
-        scalar_both,
-        budget_slices,
-        beam,
-        help,
-    })
+    Ok(a)
 }
 
 /// The effective `--emit` value: defaults depend on the mode.
@@ -744,7 +601,7 @@ fn main() -> ExitCode {
     };
 
     if args.help {
-        print!("{USAGE}");
+        print!("{}", usage());
         return ExitCode::SUCCESS;
     }
 
@@ -865,5 +722,18 @@ fn render_error(e: &roccc::CompileError, source: &str) -> String {
             s
         }
         other => other.to_string(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn usage_names_every_option_key() {
+        let text = usage();
+        for row in OPTIONS {
+            assert!(text.contains(&format!("--{} ", row.key)), "--{}", row.key);
+        }
     }
 }
