@@ -592,99 +592,52 @@ fn finish_client_roundtrip(args: &Args, addr: &str, req: &Request) -> Result<(),
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
+    match run() {
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("{e}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
-    };
+    }
+}
 
+fn run() -> Result<(), String> {
+    let args = parse_args()?;
     if args.help {
         print!("{}", usage());
-        return ExitCode::SUCCESS;
+        return Ok(());
     }
-
-    if let Some(addr) = args.connect.clone() {
-        return match run_client(&args, &addr) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
-            }
-        };
+    if let Some(addr) = &args.connect {
+        return run_client(&args, addr);
     }
 
     let input = args.input.as_deref().expect("parse_args checked input");
-    let source = match std::fs::read_to_string(input) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("cannot read {input}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    if let Some(spec_path) = args.pipeline.clone() {
-        return match run_pipeline(&args, &source, &spec_path) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
-            }
-        };
+    let source = std::fs::read_to_string(input).map_err(|e| format!("cannot read {input}: {e}"))?;
+    if let Some(spec_path) = &args.pipeline {
+        return run_pipeline(&args, &source, spec_path);
     }
-
     let function = args
         .function
         .as_deref()
         .expect("parse_args checked --function");
-
     if args.explore {
-        return match run_explore(&args, &source, function) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
-            }
-        };
+        return run_explore(&args, &source, function);
     }
 
     // `timings` needs the instrumented compile entry point, so it takes
     // its own path instead of flowing through `render`.
-    if effective_emit(&args) == "timings" {
-        return match render_timings(&source, function, &args)
-            .and_then(|text| deliver(&args.output, &text))
-        {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
-            }
-        };
+    let emit = effective_emit(&args);
+    if emit == "timings" {
+        return deliver(&args.output, &render_timings(&source, function, &args)?);
     }
 
-    let hw = match compile(&source, function, &args.opts) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("{}", render_error(&e, &source));
-            return ExitCode::FAILURE;
-        }
-    };
-
+    let hw = compile(&source, function, &args.opts).map_err(|e| render_error(&e, &source))?;
     // Non-fatal verifier findings (collected under --verify) print with
     // source spans resolved against the input file.
     for d in &hw.diagnostics {
         eprintln!("{}", d.render(Some(&source)));
     }
-
-    let emit = effective_emit(&args);
-    let text = match render(&hw, &emit) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let text = render(&hw, &emit)?;
     // Lint the generated VHDL: findings are warnings (stderr) and the
     // artifact is still emitted — except under --deny-warnings, where
     // any finding fails the run.
@@ -694,20 +647,13 @@ fn main() -> ExitCode {
             eprintln!("{d}");
         }
         if args.opts.verify == VerifyLevel::Deny && !findings.is_empty() {
-            eprintln!(
+            return Err(format!(
                 "error: --deny-warnings set and the VHDL lint reported {} finding(s)",
                 findings.len()
-            );
-            return ExitCode::FAILURE;
+            ));
         }
     }
-    match deliver(&args.output, &text) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("{e}");
-            ExitCode::FAILURE
-        }
-    }
+    deliver(&args.output, &text)
 }
 
 fn render_error(e: &roccc::CompileError, source: &str) -> String {
