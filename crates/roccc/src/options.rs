@@ -8,7 +8,7 @@
 //! * [`CompileOptions::canonical_bytes`] is the rows' encoders in table
 //!   order;
 //! * the wire protocol ([`crate::proto`]) reads `key value` lines with
-//!   [`find`] and writes them with [`OptSpec::spelled`];
+//!   [`find`] and writes them with `OptSpec::spelled`;
 //! * the `roccc` command line takes `--key [value]` for every row and
 //!   prints the rows' help;
 //! * pipeline-spec `stage` overrides take `name=value` through
@@ -106,13 +106,13 @@ impl Default for CompileOptions {
 
 impl CompileOptions {
     /// Canonical byte encoding of the options, stable across runs and
-    /// platforms. Two option sets encode identically iff they compile
-    /// identically, which makes this the options half of a
-    /// content-addressed cache key (the `roccc-serve` artifact cache
-    /// hashes `(source, function, canonical_bytes)`). Every field is part
-    /// of it, the prove flag and family filter included: they leave the
-    /// hardware alone but change the artifact set (certificate, findings)
-    /// the serve cache stores.
+    /// platforms: the options half of a content-addressed cache key (the
+    /// `roccc-serve` artifact cache hashes `(source, function,
+    /// canonical_bytes)`). Option sets that encode identically compile
+    /// identically; the converse does not hold (`unroll 1` and `keep`
+    /// encode apart). Every field is part of it, the prove flag and
+    /// family filter included: they leave the hardware alone but change
+    /// the artifact set (certificate, findings) the serve cache stores.
     pub fn canonical_bytes(&self) -> Vec<u8> {
         let mut v = Vec::with_capacity(20);
         for row in OPTIONS {
@@ -151,9 +151,9 @@ pub struct OptSpec {
     /// Parses and validates a value (`on|off` for a switch) into the field.
     pub parse: fn(&mut CompileOptions, &str) -> Result<(), String>,
     /// The field as text `parse` reads back; `None` when it is unset.
-    pub write: fn(&CompileOptions) -> Option<String>,
+    pub(crate) write: fn(&CompileOptions) -> Option<String>,
     /// Appends the field's canonical bytes.
-    pub encode: fn(&CompileOptions, &mut Vec<u8>),
+    pub(crate) encode: fn(&CompileOptions, &mut Vec<u8>),
 }
 
 impl OptSpec {
@@ -167,16 +167,16 @@ impl OptSpec {
     pub fn apply(&self, opts: &mut CompileOptions, value: &str) -> Result<(), String> {
         match self.hint {
             Some(_) => (self.parse)(opts, value),
-            None if (self.write)(&CompileOptions::default()) == on_off(true) => {
-                (self.parse)(opts, "off")
+            None => {
+                let default_on = (self.write)(&CompileOptions::default()) == on_off(true);
+                (self.parse)(opts, if default_on { "off" } else { "on" })
             }
-            None => (self.parse)(opts, "on"),
         }
     }
 
     /// The row as command-line/wire words (`no-opt`, `period 5.25`), or
     /// `None` when `opts` holds the default, so nothing needs writing.
-    pub fn spelled(&self, opts: &CompileOptions) -> Option<String> {
+    pub(crate) fn spelled(&self, opts: &CompileOptions) -> Option<String> {
         let v = (self.write)(opts);
         if v == (self.write)(&CompileOptions::default()) {
             return None;
